@@ -1442,11 +1442,24 @@ let () =
         exit 2)
     | name :: rest -> parse_args (name :: acc) rest
   in
+  (* the CLI spelling `replaycache` is an alias; the canonical name
+     keeps the BENCH_replay_cache.json artifact readable *)
+  let canonical name = if name = "replaycache" then "replay_cache" else name in
   let requested =
     match parse_args [] (List.tl (Array.to_list Sys.argv)) with
     | [] -> List.map fst experiments
-    | names -> names
+    | names -> List.map canonical names
   in
+  (* every name is checked before anything runs, so a misspelled
+     experiment fails at once instead of after (or instead of) the rest *)
+  let unknown n = not (List.mem_assoc n experiments) in
+  (match List.filter unknown requested with
+  | [] -> ()
+  | unknown ->
+    List.iter (Printf.eprintf "unknown experiment %S\n") unknown;
+    Printf.eprintf "available: %s\n"
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
   let out_dir =
     match Sys.getenv_opt "BENCH_OUT_DIR" with
     | Some d when d <> "" -> d
@@ -1455,19 +1468,11 @@ let () =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      (* the CLI spelling `replaycache` is an alias; the canonical name
-         keeps the BENCH_replay_cache.json artifact readable *)
-      let name = if name = "replaycache" then "replay_cache" else name in
-      match List.assoc_opt name experiments with
-      | Some f ->
-        bench_data := [];
-        last_heading := name;
-        let e0 = Unix.gettimeofday () in
-        f ();
-        write_bench_json ~dir:out_dir ~name
-          ~wall:(Unix.gettimeofday () -. e0)
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
+      bench_data := [];
+      last_heading := name;
+      let e0 = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      write_bench_json ~dir:out_dir ~name
+        ~wall:(Unix.gettimeofday () -. e0))
     requested;
   Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -4,21 +4,11 @@ module Metrics = Icb_obs.Metrics
 module Http = Icb_obs.Http
 module Collector = Icb_search.Collector
 module Strategy = Icb_search.Strategy
-module Driver = Icb_search.Driver
 module Explore = Icb_search.Explore
 module Checkpoint = Icb_search.Checkpoint
 module Search_core = Icb_search.Search_core
 module Sresult = Icb_search.Sresult
-
-let with_lock m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-    Mutex.unlock m;
-    v
-  | exception e ->
-    Mutex.unlock m;
-    raise e
+module Rounds = Icb_search.Rounds
 
 (* --- state ---------------------------------------------------------------- *)
 
@@ -40,19 +30,19 @@ type round_state = {
   mutable rs_completed : int;
 }
 
-(* Limit accounting, batch-granular: counters absorbed this round stack
-   on the master's round-start baseline, mirroring the parallel driver's
-   per-execution hook at its coarser granularity. *)
-type limits = {
-  li_options : Collector.options;
-  mutable li_base_execs : int;
-  mutable li_base_states : int;
-  mutable li_base_steps : int;
-  mutable li_base_bugs : int;
-  mutable li_acc_execs : int;
-  mutable li_acc_states : int;
-  mutable li_acc_steps : int;
-  mutable li_acc_bugs : int;
+(* Limit accounting for the round being served, batch-granular: the
+   counters absorbed so far, checked by the round core on top of its
+   round-start totals ([ta_base]). *)
+type tally = {
+  ta_base : Rounds.counts;
+  ta_check :
+    executions:int -> states:int -> steps:int -> bugs:int ->
+    Sresult.stop_reason option;
+  ta_due : executions:int -> bool;
+  mutable ta_execs : int;
+  mutable ta_states : int;
+  mutable ta_steps : int;
+  mutable ta_bugs : int;
 }
 
 type phase = Starting | Serving | Finished
@@ -80,11 +70,9 @@ type t = {
   mutable strat_name : string;
   mutable job : Proto.job option; (* [j_worker] re-stamped per hello *)
   mutable round : round_state option;
-  mutable limits : limits option;
+  mutable tally : tally option;
   mutable stop_requested : Sresult.stop_reason option;
   mutable ck_wanted : bool;
-  mutable ck_every : int;
-  mutable ck_last : int; (* executions at the last checkpoint *)
   mutable next_worker : int;
   mutable next_token : int;
   mutable workers : int;
@@ -131,37 +119,18 @@ let reclaim_expired t rs =
 let request_stop t r =
   if t.stop_requested = None then t.stop_requested <- Some r
 
-(* Limit checks, in the parallel driver's order so the recorded
-   stop_reason matches when several limits trip in one batch. *)
-let check_limits t snap =
-  match t.limits with
+let tally t snap =
+  match t.tally with
   | None -> ()
-  | Some li ->
-    li.li_acc_execs <- li.li_acc_execs + Collector.snapshot_executions snap;
-    li.li_acc_states <- li.li_acc_states + Collector.snapshot_states snap;
-    li.li_acc_steps <- li.li_acc_steps + Collector.snapshot_steps snap;
-    li.li_acc_bugs <-
-      li.li_acc_bugs + List.length (Collector.snapshot_bugs snap);
-    let o = li.li_options in
-    let execs = li.li_base_execs + li.li_acc_execs in
-    (match o.Collector.max_executions with
-    | Some l when execs >= l -> request_stop t Sresult.Execution_limit
-    | Some _ | None -> ());
-    (match o.Collector.max_states with
-    | Some l when li.li_base_states + li.li_acc_states >= l ->
-      request_stop t Sresult.State_limit
-    | Some _ | None -> ());
-    (match o.Collector.max_total_steps with
-    | Some l when li.li_base_steps + li.li_acc_steps >= l ->
-      request_stop t Sresult.Step_limit
-    | Some _ | None -> ());
-    (match o.Collector.deadline with
-    | Some d when Unix.gettimeofday () >= d ->
-      request_stop t Sresult.Deadline_exceeded
-    | Some _ | None -> ());
-    if o.Collector.stop_at_first_bug && li.li_base_bugs + li.li_acc_bugs > 0
-    then request_stop t Sresult.First_bug;
-    if execs - t.ck_last >= t.ck_every then t.ck_wanted <- true
+  | Some ta ->
+    ta.ta_execs <- ta.ta_execs + Collector.snapshot_executions snap;
+    ta.ta_states <- ta.ta_states + Collector.snapshot_states snap;
+    ta.ta_steps <- ta.ta_steps + Collector.snapshot_steps snap;
+    ta.ta_bugs <- ta.ta_bugs + List.length (Collector.snapshot_bugs snap);
+    Option.iter (request_stop t)
+      (ta.ta_check ~executions:ta.ta_execs ~states:ta.ta_states
+         ~steps:ta.ta_steps ~bugs:ta.ta_bugs);
+    if ta.ta_due ~executions:ta.ta_execs then t.ck_wanted <- true
 
 (* --- protocol handling ---------------------------------------------------- *)
 
@@ -182,7 +151,7 @@ let absorb t ~lease ~(report : Proto.report) =
         rs.rs_reports.(l.l_batch) <- Some (report, snap);
         rs.rs_completed <- rs.rs_completed + 1;
         m_inc t t.mx.mx_completed;
-        check_limits t snap;
+        tally t snap;
         Condition.broadcast t.cv;
         Proto.Accepted))
   | _ -> stale ()
@@ -239,7 +208,7 @@ let serve_protocol t fd =
   let oc = Unix.out_channel_of_descr fd in
   set_binary_mode_in ic true;
   set_binary_mode_out oc true;
-  let conn = with_lock t.m (fun () ->
+  let conn = Rounds.with_lock t.m (fun () ->
       let c = t.next_conn in
       t.next_conn <- t.next_conn + 1;
       c)
@@ -247,7 +216,7 @@ let serve_protocol t fd =
   let greeted = ref false in
   Fun.protect
     ~finally:(fun () ->
-      with_lock t.m (fun () ->
+      Rounds.with_lock t.m (fun () ->
           void_conn_leases t conn;
           if !greeted then begin
             t.workers <- t.workers - 1;
@@ -262,7 +231,9 @@ let serve_protocol t fd =
           match Proto.c2s_of_json j with
           | Error _ -> ()
           | Ok msg ->
-            let reply = with_lock t.m (fun () -> reply_to t ~conn ~greeted msg) in
+            let reply =
+              Rounds.with_lock t.m (fun () -> reply_to t ~conn ~greeted msg)
+            in
             (match Proto.send oc (Proto.s2c_to_json reply) with
             | () -> loop ()
             | exception Sys_error _ -> ()))
@@ -277,7 +248,7 @@ let phase_string = function
   | Finished -> "finished"
 
 let status_json t =
-  with_lock t.m (fun () ->
+  Rounds.with_lock t.m (fun () ->
       let batches =
         match t.round with
         | None -> []
@@ -295,13 +266,13 @@ let status_json t =
           ]
       in
       let counters =
-        match t.limits with
+        match t.tally with
         | None -> []
-        | Some li ->
+        | Some ta ->
           [
-            ("executions", Json.Int (li.li_base_execs + li.li_acc_execs));
-            ("total_steps", Json.Int (li.li_base_steps + li.li_acc_steps));
-            ("bugs", Json.Int (li.li_base_bugs + li.li_acc_bugs));
+            ("executions", Json.Int (ta.ta_base.executions + ta.ta_execs));
+            ("total_steps", Json.Int (ta.ta_base.steps + ta.ta_steps));
+            ("bugs", Json.Int (ta.ta_base.bugs + ta.ta_bugs));
           ]
       in
       Json.Obj
@@ -370,7 +341,7 @@ let acceptor t () =
   let rec loop () =
     match Unix.accept t.sock with
     | fd, _ ->
-      if with_lock t.m (fun () -> t.closed) then begin
+      if Rounds.with_lock t.m (fun () -> t.closed) then begin
         (try Unix.close fd with Unix.Unix_error _ -> ());
         try Unix.close t.sock with Unix.Unix_error _ -> ()
       end
@@ -466,11 +437,9 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(lease_timeout = 30.)
       strat_name = "";
       job = None;
       round = None;
-      limits = None;
+      tally = None;
       stop_requested = None;
       ck_wanted = false;
-      ck_every = max_int;
-      ck_last = 0;
       next_worker = 0;
       next_token = 0;
       workers = 0;
@@ -483,7 +452,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(lease_timeout = 30.)
   t
 
 let shutdown t =
-  let was_closed = with_lock t.m (fun () ->
+  let was_closed = Rounds.with_lock t.m (fun () ->
       let c = t.closed in
       t.closed <- true;
       if t.phase <> Serving then t.phase <- Finished;
@@ -501,21 +470,111 @@ let shutdown t =
     match t.acceptor with None -> () | Some th -> Thread.join th
   end
 
-(* --- the search loop ------------------------------------------------------ *)
 
-let rec chunk n acc l =
-  match l with
-  | [] -> List.rev acc
-  | _ ->
-    let rec take k xs =
-      match (k, xs) with
-      | 0, _ | _, [] -> ([], xs)
-      | k, x :: rest ->
-        let b, r = take (k - 1) rest in
-        (x :: b, r)
+(* --- the lease transport -------------------------------------------------- *)
+
+(* One round of {!Rounds.run}, served to TCP workers: the sorted work is
+   cut into contiguous [batch_size] slices (so a worker's consecutive
+   batches share schedule prefixes and hit its replay cache) and leased
+   out; each absorbed batch is one report, in batch-id order.  Blocks
+   until every batch is absorbed or a stop is requested, handing the
+   core a mid-round checkpoint whenever one falls due. *)
+let serve_round (type s) t (rc : s Rounds.round) (work : s Strategy.item list)
+    : s Rounds.outcome =
+  let sent = Lazy.force rc.Rounds.sent in
+  let arr =
+    Array.map Rounds.strip_items (Rounds.slices ~size:t.batch_size work)
+  in
+  let nb = Array.length arr in
+  Rounds.with_lock t.m (fun () ->
+      t.tally <-
+        Some
+          {
+            ta_base = rc.Rounds.base;
+            ta_check = rc.Rounds.check;
+            ta_due = rc.Rounds.ckpt_due;
+            ta_execs = 0;
+            ta_states = 0;
+            ta_steps = 0;
+            ta_bugs = 0;
+          };
+      t.ck_wanted <- false;
+      t.round <-
+        Some
+          {
+            rs_round = sent.Checkpoint.v3_round;
+            rs_tag = sent.Checkpoint.v3_tag;
+            rs_params = sent.Checkpoint.v3_params;
+            rs_items = arr;
+            rs_reports = Array.make nb None;
+            rs_pending = List.init nb Fun.id;
+            rs_leases = [];
+            rs_completed = 0;
+          };
+      t.phase <- Serving;
+      Condition.broadcast t.cv);
+  let reports reps =
+    Array.map
+      (Option.map (fun ((rep : Proto.report), snap) ->
+           {
+             Rounds.r_snap = snap;
+             r_deferred = List.map Rounds.of_prefix rep.Proto.r_deferred;
+             r_params = Some rep.Proto.r_params;
+             r_flush =
+               (fun () ->
+                 Telemetry.inject t.tel
+                   (List.filter_map
+                      (fun ej -> Result.to_option (Icb_obs.Event.of_json ej))
+                      rep.Proto.r_events));
+           }))
+      reps
+  in
+  let unabsorbed reps =
+    Array.to_list arr
+    |> List.filteri (fun b _ -> Option.is_none reps.(b))
+    |> List.concat
+    |> List.map Rounds.of_prefix
+  in
+  let rec wait () =
+    let what =
+      Rounds.with_lock t.m (fun () ->
+          let rs = Option.get t.round in
+          if rs.rs_completed >= nb || t.stop_requested <> None then `Barrier
+          else if t.ck_wanted then begin
+            t.ck_wanted <- false;
+            `Ckpt (Array.copy rs.rs_reports)
+          end
+          else begin
+            Condition.wait t.cv t.m;
+            `Again
+          end)
     in
-    let b, rest = take n l in
-    chunk n (b :: acc) rest
+    match what with
+    | `Barrier -> ()
+    | `Ckpt reps ->
+      (* assembled in this thread with [t.m] released, over a capture
+         taken under the lock *)
+      rc.Rounds.save_mid (reports reps) (unabsorbed reps);
+      wait ()
+    | `Again -> wait ()
+  in
+  wait ();
+  (* retire the round before merging: late reports turn stale *)
+  let rs, stop =
+    Rounds.with_lock t.m (fun () ->
+        let rs = Option.get t.round in
+        t.round <- None;
+        t.phase <- Starting;
+        (rs, t.stop_requested))
+  in
+  m_inc t t.mx.mx_rounds;
+  {
+    Rounds.reports = reports rs.rs_reports;
+    unfinished = unabsorbed rs.rs_reports;
+    stop;
+  }
+
+(* --- the search ----------------------------------------------------------- *)
 
 let run (type s) t (module E : Icb_search.Engine.S with type state = s)
     ?(options = Collector.default_options) ?checkpoint_out
@@ -532,107 +591,15 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
           and serialize; strategies that do: icb, dfs, db:N, idfs:N, \
           random, pct:N, vb:N, tb:N, icb-vb:N)"
          S.name);
-  let emit = Telemetry.emitter t.tel ~worker:0 in
-  let options = { options with Collector.events = emit } in
-  let fp = Driver.fingerprint (module E) in
-  let resume_v3 =
-    Option.map
-      (fun (c : Checkpoint.t) ->
-        let f = Checkpoint.to_v3 c in
-        if f.Checkpoint.v3_tag <> S.tag then
-          invalid_arg
-            (Printf.sprintf
-               "Coord.run: checkpoint was written by a %s search, not %s"
-               f.Checkpoint.v3_tag S.tag);
-        (match List.assoc_opt Driver.fingerprint_key f.Checkpoint.v3_params with
-        | Some s when s <> fp ->
-          invalid_arg
-            "Coord.run: the checkpoint belongs to a different program \
-             (initial-state fingerprint mismatch)"
-        | Some _ | None -> ());
-        f)
-      resume_from
+  let fp = Rounds.fingerprint (module E) in
+  let sess =
+    Rounds.start (module S) ~who:"Coord.run" ~fp ~options
+      ~emit:(Telemetry.emitter t.tel ~worker:0)
+      ?checkpoint_out ~checkpoint_every ~checkpoint_meta ?resume_from
+      ~domains:0 ()
   in
-  let master =
-    match resume_from with
-    | None -> Collector.create options
-    | Some (c : Checkpoint.t) -> Collector.restore options c.Checkpoint.collector
-  in
-  (* wall-clock accounting across interruptions, exactly as in
-     [Driver.run]: seed from the resumed params, charge each completed
-     round, stamp fingerprint + timing into every save *)
-  let run_started_at = Unix.gettimeofday () in
-  let param key =
-    Option.bind resume_v3 (fun (f : Checkpoint.v3) ->
-        List.assoc_opt key f.Checkpoint.v3_params)
-  in
-  let base_elapsed =
-    Option.value
-      (Option.bind (param Checkpoint.elapsed_key) float_of_string_opt)
-      ~default:0.0
-  in
-  let bound_times =
-    ref
-      (match param Checkpoint.bound_times_key with
-      | Some s -> Checkpoint.decode_bound_times s
-      | None -> [])
-  in
-  let round_started = ref run_started_at in
-  let add_bound_time bt (b, d) =
-    if List.mem_assoc b bt then
-      List.map (fun (b', s) -> if b' = b then (b', s +. d) else (b', s)) bt
-    else if d < 0.0005 then bt
-    else bt @ [ (b, d) ]
-  in
-  let note_round_done r =
-    let now = Unix.gettimeofday () in
-    bound_times := add_bound_time !bound_times (r, now -. !round_started);
-    round_started := now
-  in
-  let stamp (f : Checkpoint.v3) =
-    let now = Unix.gettimeofday () in
-    let bt =
-      add_bound_time !bound_times (S.round (), now -. !round_started)
-    in
-    {
-      f with
-      Checkpoint.v3_params =
-        f.Checkpoint.v3_params
-        @ [
-            (Driver.fingerprint_key, fp);
-            ( Checkpoint.elapsed_key,
-              Printf.sprintf "%.3f" (base_elapsed +. now -. run_started_at) );
-            (Checkpoint.bound_times_key, Checkpoint.encode_bound_times bt);
-          ];
-    }
-  in
-  let ckpt =
-    Option.map
-      (fun path ->
-        {
-          Search_core.ck_path = path;
-          ck_every = max 1 checkpoint_every;
-          ck_meta = checkpoint_meta;
-          ck_last = Collector.executions master;
-          ck_events = emit;
-        })
-      checkpoint_out
-  in
-  let stripped =
-    {
-      options with
-      Collector.max_executions = None;
-      max_states = None;
-      max_total_steps = None;
-      deadline = None;
-      stop_at_first_bug = false;
-      on_progress = None;
-      events = Icb_obs.Emit.null;
-    }
-  in
-  let wstates = [| S.wstate () |] in
   (* publish the job: from here on, hellos are answered *)
-  with_lock t.m (fun () ->
+  Rounds.with_lock t.m (fun () ->
       if t.closed then invalid_arg "Coord.run: the coordinator was shut down";
       if t.job <> None then
         invalid_arg "Coord.run: the coordinator already ran a search";
@@ -646,275 +613,33 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
             j_terminal_states_only = options.Collector.terminal_states_only;
             j_cache = cache;
             j_worker = 0;
-          };
-      t.limits <-
-        Some
-          {
-            li_options = options;
-            li_base_execs = Collector.executions master;
-            li_base_states = Collector.seen_states master;
-            li_base_steps = Collector.total_steps master;
-            li_base_bugs = Collector.bug_count master;
-            li_acc_execs = 0;
-            li_acc_states = 0;
-            li_acc_steps = 0;
-            li_acc_bugs = 0;
-          };
-      t.ck_every <- (match ckpt with Some c -> c.Search_core.ck_every | None -> max_int);
-      t.ck_last <- Collector.executions master);
+          });
   (* a ticker so a deadline fires and leases expire even while no worker
-     is talking to us; it also wakes the round loop below *)
+     is talking to us; it also wakes the round loop *)
   let ticker =
     Thread.create
       (fun () ->
         let rec tick () =
           Unix.sleepf 0.05;
-          let live = with_lock t.m (fun () ->
-              (match (t.limits, t.stop_requested) with
-              | Some li, None -> (
-                match li.li_options.Collector.deadline with
-                | Some d when Unix.gettimeofday () >= d ->
-                  request_stop t Sresult.Deadline_exceeded
-                | Some _ | None -> ())
-              | _ -> ());
-              (match t.round with
-              | Some rs when t.phase = Serving -> reclaim_expired t rs
-              | _ -> ());
-              Condition.broadcast t.cv;
-              t.phase <> Finished)
+          let live =
+            Rounds.with_lock t.m (fun () ->
+                if t.stop_requested = None && Rounds.deadline_passed options
+                then request_stop t Sresult.Deadline_exceeded;
+                (match t.round with
+                | Some rs when t.phase = Serving -> reclaim_expired t rs
+                | _ -> ());
+                Condition.broadcast t.cv;
+                t.phase <> Finished)
           in
           if live then tick ()
         in
         tick ())
       ()
   in
-  Icb_obs.Emit.emit emit
-    (Icb_obs.Event.Run_started
-       { strategy = S.name; domains = 0; resumed = resume_from <> None });
-  let save_with col ~work ~next =
-    match ckpt with
-    | None -> ()
-    | Some ctl ->
-      Search_core.save_checkpoint col ctl ~strategy:S.name
-        ~frontier:(Checkpoint.V3 (stamp (S.to_prefixes ~wstates ~work ~next)));
-      with_lock t.m (fun () -> t.ck_last <- ctl.Search_core.ck_last)
-  in
-  (* Mid-round checkpoint: a scratch collector over the round-start
-     snapshot plus every batch absorbed so far (in batch-id order, like
-     the barrier), unabsorbed batches as the work list.  Runs in this
-     thread with [t.m] released, over a capture taken under the lock. *)
-  let mid_save ~master_snap ~sent_params ~round_no ~arr ~carry =
-    match ckpt with
-    | None -> ()
-    | Some ctl ->
-      let reports =
-        with_lock t.m (fun () ->
-            match t.round with
-            | Some rs -> Array.copy rs.rs_reports
-            | None -> [||])
-      in
-      let scratch = Collector.restore stripped master_snap in
-      let candidates = ref [] in
-      Array.iter
-        (fun r ->
-          match r with
-          | None -> ()
-          | Some (_, sn) ->
-            Collector.merge_stats scratch sn;
-            candidates := Collector.snapshot_bugs sn @ !candidates)
-        reports;
-      Driver.absorb_bugs scratch !candidates;
-      let work = ref [] and deferred = ref [] and reported = ref [] in
-      Array.iteri
-        (fun b r ->
-          match r with
-          | None -> work := !work @ arr.(b)
-          | Some ((rep : Proto.report), _) ->
-            deferred := !deferred @ rep.Proto.r_deferred;
-            reported := rep.Proto.r_params :: !reported)
-        reports;
-      let params =
-        Strategy.merge_params ~sent:sent_params ~reported:(List.rev !reported)
-      in
-      let next =
-        Driver.strip_items
-          (Driver.sorted_items
-             (carry @ List.map Driver.of_prefix !deferred))
-      in
-      Search_core.save_checkpoint scratch ctl ~strategy:S.name
-        ~frontier:
-          (Checkpoint.V3
-             (stamp
-                {
-                  Checkpoint.v3_tag = S.tag;
-                  v3_params = params;
-                  v3_round = round_no;
-                  v3_work = !work;
-                  v3_next = next;
-                }));
-      with_lock t.m (fun () -> t.ck_last <- ctl.Search_core.ck_last)
-  in
-  let rec drive work carry =
-    let work = Driver.sorted_items work in
-    let prefixes = Driver.strip_items work in
-    let f0 = S.to_prefixes ~wstates ~work:prefixes ~next:[] in
-    let sent_params = f0.Checkpoint.v3_params in
-    let round_no = f0.Checkpoint.v3_round in
-    let n_work = List.length prefixes in
-    let arr = Array.of_list (chunk t.batch_size [] prefixes) in
-    let nb = Array.length arr in
-    Collector.note_frontier master n_work;
-    Icb_obs.Emit.emit emit
-      (Icb_obs.Event.Bound_started { bound = S.round (); items = n_work });
-    let master_snap = Collector.snapshot master in
-    with_lock t.m (fun () ->
-        (match t.limits with
-        | Some li ->
-          li.li_base_execs <- Collector.executions master;
-          li.li_base_states <- Collector.seen_states master;
-          li.li_base_steps <- Collector.total_steps master;
-          li.li_base_bugs <- Collector.bug_count master;
-          li.li_acc_execs <- 0;
-          li.li_acc_states <- 0;
-          li.li_acc_steps <- 0;
-          li.li_acc_bugs <- 0
-        | None -> ());
-        t.ck_wanted <- false;
-        t.round <-
-          Some
-            {
-              rs_round = round_no;
-              rs_tag = S.tag;
-              rs_params = sent_params;
-              rs_items = arr;
-              rs_reports = Array.make nb None;
-              rs_pending = List.init nb Fun.id;
-              rs_leases = [];
-              rs_completed = 0;
-            };
-        t.phase <- Serving;
-        Condition.broadcast t.cv);
-    let rec wait () =
-      let what = with_lock t.m (fun () ->
-          let rs = Option.get t.round in
-          if rs.rs_completed >= nb || t.stop_requested <> None then `Barrier
-          else if t.ck_wanted then begin
-            t.ck_wanted <- false;
-            `Ckpt
-          end
-          else begin
-            Condition.wait t.cv t.m;
-            `Again
-          end)
-      in
-      match what with
-      | `Barrier -> ()
-      | `Ckpt ->
-        mid_save ~master_snap ~sent_params ~round_no ~arr ~carry;
-        wait ()
-      | `Again -> wait ()
-    in
-    wait ();
-    (* retire the round before merging: late reports turn stale *)
-    let rs, stop = with_lock t.m (fun () ->
-        let rs = Option.get t.round in
-        t.round <- None;
-        t.phase <- Starting;
-        (rs, t.stop_requested))
-    in
-    (* the deterministic barrier merge, in batch-id order *)
-    let candidates = ref [] in
-    Array.iter
-      (fun r ->
-        match r with
-        | None -> ()
-        | Some (_, sn) ->
-          Collector.merge_stats master sn;
-          candidates := Collector.snapshot_bugs sn @ !candidates)
-      rs.rs_reports;
-    Driver.absorb_bugs master !candidates;
-    (* telemetry: replay each batch's buffered events in batch-id order —
-       the merged trace is deterministic up to timestamps — then stamp
-       the batch totals *)
-    Array.iteri
-      (fun b r ->
-        match r with
-        | None -> ()
-        | Some ((rep : Proto.report), sn) ->
-          Telemetry.inject t.tel
-            (List.filter_map
-               (fun ej -> Result.to_option (Icb_obs.Event.of_json ej))
-               rep.Proto.r_events);
-          Icb_obs.Emit.emit emit
-            (Icb_obs.Event.Worker_stats
-               {
-                 stats_for = b;
-                 executions = Collector.snapshot_executions sn;
-                 steps = Collector.snapshot_steps sn;
-                 bugs = List.length (Collector.snapshot_bugs sn);
-               }))
-      rs.rs_reports;
-    let completed = ref [] in
-    Array.iter
-      (fun r -> match r with None -> () | Some (rep, _) -> completed := rep :: !completed)
-      rs.rs_reports;
-    let completed = List.rev !completed in
-    let next_items =
-      Driver.sorted_items
-        (carry
-        @ List.concat_map
-            (fun (rep : Proto.report) ->
-              List.map Driver.of_prefix rep.Proto.r_deferred)
-            completed)
-    in
-    (* fold the workers' round-local params (truncation counts, sealing
-       counts, PCT's step estimate) back into this instance, as if one
-       [to_prefixes] had seen the union of their worker states; the
-       non-empty work list keeps the randomized strategies from minting *)
-    if completed <> [] then
-      ignore
-        (S.of_prefixes master
-           {
-             Checkpoint.v3_tag = S.tag;
-             v3_params =
-               Strategy.merge_params ~sent:sent_params
-                 ~reported:(List.map (fun (r : Proto.report) -> r.Proto.r_params) completed);
-             v3_round = round_no;
-             v3_work = prefixes;
-             v3_next = [];
-           });
-    m_inc t t.mx.mx_rounds;
-    note_round_done (S.round ());
-    match stop with
-    | Some r ->
-      Collector.note_stop master r;
-      let unabsorbed = ref [] in
-      Array.iteri
-        (fun b rep -> if rep = None then unabsorbed := !unabsorbed @ arr.(b))
-        rs.rs_reports;
-      save_with master ~work:!unabsorbed
-        ~next:(Driver.strip_items next_items)
-    | None -> (
-      Collector.mark_growth master;
-      match S.after_round master ~wstates ~deferred:next_items with
-      | `Complete ->
-        Collector.set_complete master;
-        save_with master ~work:[] ~next:[]
-      | `Bounded -> save_with master ~work:[] ~next:(Driver.strip_items next_items)
-      | `Round items -> drive items [])
-  in
   (try
-     match resume_v3 with
-     | Some f ->
-       let work, carry = S.of_prefixes master f in
-       drive
-         (List.map Driver.of_prefix work)
-         (List.map Driver.of_prefix carry)
-     | None ->
-       let items = S.roots (module E) wstates.(0) master in
-       if items = [] then Collector.set_complete master else drive items []
+     Rounds.run (module S) sess ~workers:1 ~root:(module E) (serve_round t)
    with Collector.Stop -> ());
-  with_lock t.m (fun () ->
+  Rounds.with_lock t.m (fun () ->
       t.phase <- Finished;
       t.round <- None;
       Condition.broadcast t.cv);
@@ -924,7 +649,7 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
      port down; a worker that lingers past the grace is simply dropped. *)
   let grace = Unix.gettimeofday () +. 5.0 in
   let rec drain () =
-    if with_lock t.m (fun () -> t.workers) > 0
+    if Rounds.with_lock t.m (fun () -> t.workers) > 0
        && Unix.gettimeofday () < grace
     then begin
       Unix.sleepf 0.02;
@@ -932,15 +657,4 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
     end
   in
   drain ();
-  let res = Collector.result master ~strategy:S.name in
-  Icb_obs.Emit.emit emit
-    (Icb_obs.Event.Run_finished
-       {
-         executions = res.Sresult.executions;
-         states = res.Sresult.distinct_states;
-         bugs = List.length res.Sresult.bugs;
-         complete = res.Sresult.complete;
-         stop_reason =
-           Option.map Sresult.stop_reason_string res.Sresult.stop_reason;
-       });
-  res
+  Rounds.finish sess

@@ -3,14 +3,15 @@
     [GET /status] JSON), distinguished by sniffing the first eight bytes
     of each connection.
 
-    The coordinator owns the strategy instance and the master collector;
-    each round it cuts the sorted frontier into contiguous batches (so a
-    worker's consecutive batches share schedule prefixes and hit its
-    replay cache), leases them out, and — exactly like the in-process
-    parallel driver's per-bound barrier — merges the reports back {i in
-    batch-id order}, making the bug set, per-bound execution counts and
-    telemetry stream of a distributed run identical to a serial run of
-    the same search.
+    The coordinator is the lease transport of the round core
+    ({!Icb_search.Rounds}), which owns the strategy instance, the master
+    collector and the barrier merge; the in-process domains are its
+    other transport.  Each round the coordinator cuts the sorted
+    frontier into contiguous batches (so a worker's consecutive batches
+    share schedule prefixes and hit its replay cache) and leases them
+    out; the core merges the reports back {i in batch-id order}, making
+    the bug set, per-bound execution counts and telemetry stream of a
+    distributed run identical to a serial run of the same search.
 
     Failure model: a lease is voided when its connection drops or its
     {!create} [lease_timeout] passes, and the batch returns to the
@@ -62,10 +63,10 @@ val run :
     search and fingerprints the program — [checkpoint_meta] travels to
     workers as the job's provenance so they can rebuild the engine
     ([kind]/[target], as in checkpoints).  [cache] (default [true])
-    gates the workers' replay caches.  Limits are enforced at batch
-    granularity: like the parallel driver, everything absorbed before
-    the stop is merged.  Raises [Invalid_argument] for a strategy that
-    is not shardable and checkpointable, or if [t] already ran. *)
+    gates the workers' replay caches.  Limits are checked by the round
+    core, as for domains, but at batch granularity: everything absorbed
+    before the stop is merged.  Raises [Invalid_argument] for a strategy
+    that is not shardable and checkpointable, or if [t] already ran. *)
 
 val shutdown : t -> unit
 (** Stop accepting, wake the acceptor and release the port.  Idempotent.

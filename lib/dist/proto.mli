@@ -20,7 +20,7 @@ type job = {
       (** checkpoint-style provenance (["kind"], ["target"], ...); the
           worker resolves its engine from these *)
   j_root_sig : string;
-      (** {!Icb_search.Driver.fingerprint} of the coordinator's initial
+      (** {!Icb_search.Rounds.fingerprint} of the coordinator's initial
           state; the worker verifies its own engine matches *)
   j_deadlock_is_error : bool;
   j_terminal_states_only : bool;

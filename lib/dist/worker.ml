@@ -1,7 +1,7 @@
 module Json = Icb_obs.Json
 module Collector = Icb_search.Collector
 module Strategy = Icb_search.Strategy
-module Driver = Icb_search.Driver
+module Rounds = Icb_search.Rounds
 module Explore = Icb_search.Explore
 module Checkpoint = Icb_search.Checkpoint
 module Search_core = Icb_search.Search_core
@@ -14,11 +14,11 @@ type packed_engine =
 (* One batch: build a fresh strategy instance positioned at the batch's
    round via [of_prefixes] (the work list is always non-empty, so the
    randomized strategies never mint fresh walks here), drain the local
-   deque exactly like a parallel worker — own items pop front-first,
-   [c_push] follow-ups run depth-first — and serialize everything the
-   coordinator's barrier needs.  The collector carries no limits:
-   batches are the unit of both work and accounting, and stopping is the
-   coordinator's call. *)
+   queue through the round core's per-item runner exactly like a domain
+   worker — own items pop front-first, [c_push] follow-ups run
+   depth-first — and serialize everything the coordinator's barrier
+   needs.  The collector carries no limits: batches are the unit of both
+   work and accounting, and stopping is the coordinator's call. *)
 let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     ~(rp : s Search_core.replayer) ~(job : Proto.job) ~clock
     (b : Proto.batch) : (Proto.report, string) result =
@@ -53,47 +53,21 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     in
     let work, _carry = S.of_prefixes lcol v3 in
     let w = S.wstate () in
-    let queue = ref (List.map Driver.of_prefix work) in
+    let queue = ref (List.map Rounds.of_prefix work) in
     let deferred = ref [] in
-    let materialize it =
-      match rp.Search_core.rp_run it with
-      | Ok st -> Some st
-      | Error (st, t, exn) ->
-        Search_core.record_crash (module E) lcol st t exn;
-        None
-    in
-    let ctx =
-      {
-        Strategy.c_col = lcol;
-        c_push = (fun it -> queue := it :: !queue);
-        c_defer =
-          (fun it ->
-            deferred := { it with Strategy.i_state = None } :: !deferred);
-        c_materialize = materialize;
-      }
+    let run_item =
+      Rounds.item_runner (module E) ~expand:(S.expand (module E) w) ~rp
+        ~col:lcol ~emit
+        ~push:(fun it -> queue := it :: !queue)
+        ~defer:(fun it -> deferred := Strategy.prefix_of it :: !deferred)
+        ()
     in
     let rec loop () =
       match !queue with
       | [] -> ()
       | it :: rest ->
         queue := rest;
-        let execs0 = Collector.executions lcol in
-        let steps0 = Collector.total_steps lcol in
-        let item_t0 = Unix.gettimeofday () in
-        Icb_obs.Emit.emit emit
-          (Icb_obs.Event.Item_started
-             {
-               prefix = List.length it.Strategy.i_sched;
-               payload = it.Strategy.i_payload;
-             });
-        S.expand (module E) w ctx it;
-        Icb_obs.Emit.emit emit
-          (Icb_obs.Event.Item_finished
-             {
-               seconds = Unix.gettimeofday () -. item_t0;
-               executions = Collector.executions lcol - execs0;
-               steps = Collector.total_steps lcol - steps0;
-             });
+        run_item it;
         loop ()
     in
     (match loop () with
@@ -107,7 +81,7 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
       {
         Proto.r_params = params;
         r_snapshot = Collector.snapshot_to_json (Collector.snapshot lcol);
-        r_deferred = List.rev_map Strategy.prefix_of !deferred;
+        r_deferred = List.rev !deferred;
         r_events = List.rev_map Icb_obs.Event.to_json !buf;
       }
 
@@ -156,7 +130,7 @@ let run ?(cache = true) ~host ~port ~resolve () =
       in
       let* job = handshake () in
       let* (Packed (module E)) = resolve job.Proto.j_meta in
-      let fp = Driver.fingerprint (module E) in
+      let fp = Rounds.fingerprint (module E) in
       let* () =
         if fp <> job.Proto.j_root_sig then
           Error

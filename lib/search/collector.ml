@@ -38,6 +38,7 @@ exception Stop
 
 type t = {
   opts : options;
+  least_bugs : bool;
   visited : (int64, unit) Hashtbl.t;
   bugs : (string, Sresult.bug) Hashtbl.t;
   mutable bug_order : string list;  (* reversed *)
@@ -57,9 +58,10 @@ type t = {
   mutable bound_executions : (int * int) list;(* reversed *)
 }
 
-let create opts =
+let create ?(least_bugs = false) opts =
   {
     opts;
+    least_bugs;
     visited = Hashtbl.create 4096;
     bugs = Hashtbl.create 16;
     bug_order = [];
@@ -163,24 +165,33 @@ let end_execution t (e : execution_end) =
            executions = t.executions;
          });
   let bug_of key msg =
-    if not (Hashtbl.mem t.bugs key) then begin
-      Hashtbl.add t.bugs key
-        {
-          Sresult.key;
-          msg;
-          schedule = e.schedule;
-          preemptions = e.preemptions;
-          context_switches = count_switches e.schedule;
-          depth = e.depth;
-          execution = t.executions;
-        };
+    let bug () =
+      {
+        Sresult.key;
+        msg;
+        schedule = e.schedule;
+        preemptions = e.preemptions;
+        context_switches = count_switches e.schedule;
+        depth = e.depth;
+        execution = t.executions;
+      }
+    in
+    match Hashtbl.find_opt t.bugs key with
+    | None ->
+      Hashtbl.add t.bugs key (bug ());
       t.bug_order <- key :: t.bug_order;
       if Icb_obs.Emit.enabled t.opts.events then
         Icb_obs.Emit.emit t.opts.events
           (Icb_obs.Event.Bug_found
              { key; preemptions = e.preemptions; execution = t.executions });
       if t.opts.stop_at_first_bug then stop t Sresult.First_bug
-    end
+    | Some b
+      when t.least_bugs
+           && compare (e.preemptions, e.schedule)
+                (b.Sresult.preemptions, b.Sresult.schedule)
+              < 0 ->
+      Hashtbl.replace t.bugs key (bug ())
+    | Some _ -> ()
   in
   (match e.status with
   | Engine.Failed { key; msg } -> bug_of key msg

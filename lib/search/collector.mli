@@ -53,7 +53,12 @@ exception Stop
 
 type t
 
-val create : options -> t
+val create : ?least_bugs:bool -> options -> t
+(** [least_bugs] (default [false]): when a bug key recurs, keep the
+    instance with the fewest preemptions, then the least schedule, instead
+    of the first one found.  Parallel workers set it, so the
+    representative the barrier merge picks is the least over the whole
+    round, whichever worker ran which item. *)
 
 val touch : t -> int64 -> unit
 (** Record a reached state by signature.  Raises {!Stop} when the state or

@@ -1,9 +1,9 @@
 (* Parallel iterative context bounding across OCaml domains — kept as the
-   ICB-shaped entry point.  The executor itself (work-stealing deques,
-   deterministic barrier merge, cooperative stopping, the mid-round pause
-   protocol for checkpoints) lives in [Driver], generalized over
-   [Strategy.S]; this wrapper instantiates the ICB strategy and
-   delegates.  [engines 0] is additionally used as the strategy's type
+   ICB-shaped entry point.  The executor itself lives in [Driver] (the
+   work-stealing domain transport: deques, cooperative stopping, the
+   mid-round pause protocol) and [Rounds] (the deterministic barrier
+   merge), generalized over [Strategy.S]; this wrapper instantiates the
+   ICB strategy and delegates.  [engines 0] is additionally used as the strategy's type
    witness, so the factory is called once more than there are domains. *)
 
 let run (type s) (engines : int -> (module Engine.S with type state = s))

@@ -1,8 +1,8 @@
 (** Parallel iterative context bounding across OCaml domains — the
     ICB-shaped entry point over the generic executor.
 
-    The executor itself lives in {!Driver}, generalized over
-    {!Strategy.S}; this wrapper instantiates the ICB strategy and
+    The executor itself lives in {!Driver} and {!Rounds}, generalized
+    over {!Strategy.S}; this wrapper instantiates the ICB strategy and
     delegates, keeping the historical [Icb.run_parallel] signature.  Each
     context bound's work queue — replayable schedule prefixes, the same
     representation checkpoints use — is sharded over a pool of worker

@@ -1,11 +1,12 @@
-(* Machinery shared by the serial search strategies ([Explore]) and the
-   parallel ICB executor ([Parallel]): execution accounting, crash
-   containment, checkpoint write control and — most importantly — the
+(* Machinery shared by the strategies ([Strategies]), the driver's serial
+   loop and the round core ([Rounds]) that runs rounds on domains and TCP
+   workers: execution accounting, crash containment, prefix
+   materialization, checkpoint write control and — most importantly — the
    per-work-item ICB exploration.
 
-   The parallel executor replays the very same code path per work item as
-   the serial driver, so the two provably explore identical subtrees; the
-   equivalence test suite (test/test_parallel.ml) checks exactly that. *)
+   Every executor runs the very same code path per work item, so they
+   provably explore identical subtrees; the equivalence suites
+   (test/test_parallel.ml, test/test_dist.ml) check exactly that. *)
 
 let finish (type s) (module E : Engine.S with type state = s) col (st : s)
     status =

@@ -28,11 +28,6 @@ let int_param params key ~default =
   | Some s -> ( try int_of_string s with Failure _ -> default)
   | None -> default
 
-let bool_param params key ~default =
-  match List.assoc_opt key params with
-  | Some s -> ( try bool_of_string s with Invalid_argument _ -> default)
-  | None -> default
-
 (* One independent, reproducible stream per walk index: SplitMix64 seeded
    by a golden-ratio mix of the user seed and the index.  Walk [i]'s
    schedule is a pure function of (seed, i) — independent of which worker
@@ -939,5 +934,3 @@ let icb_vb (type s) (module _ : Engine.S with type state = s) ~n ~max_bound
       sealed_base := int_param f.Checkpoint.v3_params "sealed" ~default:0;
       (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
   end)
-
-let _ = bool_param

@@ -1,8 +1,9 @@
 (* The distributed coordinator/worker pair: exact equivalence with the
    serial search for every shardable strategy, lease re-issue after a
    worker dies mid-batch, stale-report rejection, coordinator
-   interrupt/resume through its checkpoint, and the HTTP observability
-   endpoints — all over real loopback sockets. *)
+   interrupt/resume through its checkpoint, limit parity with the
+   in-process domains, and the HTTP observability endpoints — all over
+   real loopback sockets. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -329,6 +330,70 @@ let resume_tests =
           resumed);
   ]
 
+(* --- limit parity: domains vs TCP workers ---------------------------------- *)
+
+(* The in-process domains and the TCP workers run the same round core, so
+   every limit must stop both for the same recorded reason.  A count
+   limit's checkpoint from either must also resume serially to the
+   uninterrupted run's executions and bugs. *)
+let limit_parity_case name ~expect ~resumes options_of =
+  Alcotest.test_case name `Quick (fun () ->
+      let p = prog () in
+      let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
+      let full = serial p strategy in
+      let options = options_of full in
+      let par_path = Filename.temp_file "icb-dist" ".ckpt" in
+      let par =
+        Icb_search.Parallel.run
+          (fun _ -> Icb.engine p)
+          ~options ~checkpoint_out:par_path ~domains:2 ~max_bound:(Some 3)
+          ~cache:false ()
+      in
+      let dist_path = Filename.temp_file "icb-dist" ".ckpt" in
+      let dist, _ =
+        distributed ~workers:1 p strategy ~options ~checkpoint_out:dist_path
+      in
+      let reason (r : Sresult.t) =
+        Option.fold ~none:"none" ~some:Sresult.stop_reason_string
+          r.Sresult.stop_reason
+      in
+      check Alcotest.string "domains stop reason"
+        (Sresult.stop_reason_string expect)
+        (reason par);
+      check Alcotest.string "TCP stop reason" (reason par) (reason dist);
+      if resumes then
+        List.iter
+          (fun (what, path) ->
+            let resumed = Icb.resume p (Checkpoint.load path) in
+            check Alcotest.int (what ^ " checkpoint: executions")
+              full.Sresult.executions resumed.Sresult.executions;
+            check
+              (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+              (what ^ " checkpoint: bugs") (bug_set full) (bug_set resumed))
+          [ ("domains", par_path); ("TCP", dist_path) ];
+      Sys.remove par_path;
+      Sys.remove dist_path)
+
+let limit_tests =
+  [
+    limit_parity_case "max_states" ~expect:Sresult.State_limit ~resumes:true
+      (fun full ->
+        {
+          Collector.default_options with
+          Collector.max_states = Some (full.Sresult.distinct_states / 2);
+        });
+    limit_parity_case "max_total_steps" ~expect:Sresult.Step_limit
+      ~resumes:true (fun full ->
+        {
+          Collector.default_options with
+          Collector.max_total_steps = Some (full.Sresult.total_steps / 2);
+        });
+    limit_parity_case "stop_at_first_bug" ~expect:Sresult.First_bug
+      ~resumes:false (fun full ->
+        check Alcotest.bool "the model is buggy" true (full.Sresult.bugs <> []);
+        { Collector.default_options with Collector.stop_at_first_bug = true });
+  ]
+
 (* --- HTTP endpoints on the protocol port ----------------------------------- *)
 
 let http_get port path =
@@ -469,6 +534,7 @@ let () =
       ("transaction", transaction_tests);
       ("leases", lease_tests);
       ("resume", resume_tests);
+      ("limits", limit_tests);
       ("http", http_tests);
       ("proto", proto_tests);
     ]

@@ -9,6 +9,7 @@ module Collector = Icb_search.Collector
 module Checkpoint = Icb_search.Checkpoint
 module Sresult = Icb_search.Sresult
 module Engine = Icb_search.Engine
+module Tape = Test_support.Tape
 
 let check = Alcotest.check
 let tmp_ckpt () = Filename.temp_file "icb-frontier" ".ckpt"
@@ -33,49 +34,6 @@ let rec multiset_le small big =
     else false
 
 let opts lim = { Collector.default_options with Collector.max_executions = lim }
-
-(* The machine engine wrapped so every completed execution's schedule
-   lands on a shared tape (same idiom as test_parallel): the tape is the
-   exact multiset of executions a run explored, which is what
-   kill/resume must preserve. *)
-let recording_engine prog tape :
-    (module Engine.S
-       with type state = Icb_search.Mach_engine.state * int list) =
-  let module Base = (val Icb.engine prog) in
-  let m = Mutex.create () in
-  (module struct
-    type state = Base.state * int list (* reversed schedule *)
-
-    let initial () = (Base.initial (), [])
-    let enabled (s, _) = Base.enabled s
-    let status (s, _) = Base.status s
-    let signature (s, _) = Base.signature s
-    let depth (s, _) = Base.depth s
-    let blocking_ops (s, _) = Base.blocking_ops s
-    let preemptions (s, _) = Base.preemptions s
-    let schedule (s, _) = Base.schedule s
-    let thread_count (s, _) = Base.thread_count s
-    let step_footprint (s, _) t = Base.step_footprint s t
-
-    (* the pair is as persistent as the underlying machine state, so the
-       wrapper keeps the snapshot capability *)
-    type snap = state
-
-    let snapshot = Some (fun (s : state) -> s)
-    let restore (s : snap) = s
-
-    let step (s, sched) t =
-      let s' = Base.step s t in
-      let sched' = t :: sched in
-      (if Engine.is_terminal (Base.status s') then begin
-         Mutex.lock m;
-         tape := List.rev sched' :: !tape;
-         Mutex.unlock m
-       end);
-      (s', sched')
-  end)
-
-let sorted tape = List.sort compare !tape
 
 (* --- kill / resume, for every checkpointable strategy --------------------- *)
 
@@ -122,10 +80,10 @@ let kill_resume_case c () =
      the checkpoint's authoritative restoration of the ranked keys. *)
   let env = Icb_search.Strategy.env_of_prog prog in
   (* uninterrupted reference run *)
-  let full_tape = ref [] in
+  let full_tape = Tape.create () in
   let full =
     Explore.run
-      (recording_engine prog full_tape)
+      (Tape.recording_engine prog full_tape)
       ~options:(opts c.c_horizon) ~env c.c_strategy
   in
   (match c.c_horizon with
@@ -150,20 +108,20 @@ let kill_resume_case c () =
       / 2)
   in
   let path = tmp_ckpt () in
-  let kill_tape = ref [] in
+  let kill_tape = Tape.create () in
   let killed =
     Explore.run
-      (recording_engine prog kill_tape)
+      (Tape.recording_engine prog kill_tape)
       ~options:(opts (Some kill_at))
       ~checkpoint_out:path ~checkpoint_every:max_int ~env c.c_strategy
   in
   check Alcotest.bool (msg "was interrupted") true
     (killed.Sresult.stop_reason = Some Sresult.Execution_limit);
   (* resume serially to the reference horizon *)
-  let t_serial = ref [] in
+  let t_serial = Tape.create () in
   let resumed =
     Explore.resume
-      (recording_engine prog t_serial)
+      (Tape.recording_engine prog t_serial)
       ~options:(opts c.c_horizon) (Checkpoint.load path)
   in
   check (Alcotest.list Alcotest.string) (msg "serial resume: same bug set")
@@ -176,22 +134,22 @@ let kill_resume_case c () =
     check Alcotest.int (msg "serial resume: same executions")
       full.Sresult.executions resumed.Sresult.executions;
     check schedules (msg "serial resume: same execution multiset")
-      (sorted full_tape)
-      (List.sort compare (!kill_tape @ !t_serial))
+      (Tape.sorted full_tape)
+      (List.sort compare (Tape.runs kill_tape @ Tape.runs t_serial))
   end
   else
     (* the interrupted item is conservatively re-queued, so its partial
        subtree may run twice — but nothing outside the uninterrupted
        run's schedule set ever appears, and nothing is missed *)
     check schedules (msg "serial resume: same schedule set")
-      (List.sort_uniq compare !full_tape)
-      (List.sort_uniq compare (!kill_tape @ !t_serial));
+      (List.sort_uniq compare (Tape.runs full_tape))
+      (List.sort_uniq compare (Tape.runs kill_tape @ Tape.runs t_serial));
   (* resume the very same checkpoint sharded over 2 domains *)
   (if c.c_shardable then
-     let t_par = ref [] in
+     let t_par = Tape.create () in
      let resumed_par =
        Explore.resume
-         (recording_engine prog t_par)
+         (Tape.recording_engine prog t_par)
          ~options:(opts c.c_horizon) ~domains:2 (Checkpoint.load path)
      in
      match c.c_horizon with
@@ -205,12 +163,12 @@ let kill_resume_case c () =
          full.Sresult.complete resumed_par.Sresult.complete;
        if c.c_exact then
          check schedules (msg "parallel resume: same execution multiset")
-           (sorted full_tape)
-           (List.sort compare (!kill_tape @ !t_par))
+           (Tape.sorted full_tape)
+           (List.sort compare (Tape.runs kill_tape @ Tape.runs t_par))
        else
          check schedules (msg "parallel resume: same schedule set")
-           (List.sort_uniq compare !full_tape)
-           (List.sort_uniq compare (!kill_tape @ !t_par))
+           (List.sort_uniq compare (Tape.runs full_tape))
+           (List.sort_uniq compare (Tape.runs kill_tape @ Tape.runs t_par))
      | Some h ->
        (* Parallel stopping is cooperative at item boundaries, so an
           execution limit may overshoot by the items in flight, and the
@@ -220,10 +178,10 @@ let kill_resume_case c () =
           embed, as a multiset, in a serial reference wide enough to
           cover every index the interrupted round could have reached
           (one 64-walk batch plus the in-flight slack). *)
-       let wide_tape = ref [] in
+       let wide_tape = Tape.create () in
        let wide =
          Explore.run
-           (recording_engine prog wide_tape)
+           (Tape.recording_engine prog wide_tape)
            ~options:(opts (Some (h + 72)))
            ~env c.c_strategy
        in
@@ -234,8 +192,8 @@ let kill_resume_case c () =
        check Alcotest.bool
          (msg "parallel resume: every walk ran at most once") true
          (multiset_le
-            (List.sort compare (!kill_tape @ !t_par))
-            (sorted wide_tape));
+            (List.sort compare (Tape.runs kill_tape @ Tape.runs t_par))
+            (Tape.sorted wide_tape));
        check Alcotest.bool (msg "parallel resume: no bug outside the space")
          true
          (subset (bug_keys resumed_par) (bug_keys wide));

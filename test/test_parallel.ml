@@ -8,6 +8,7 @@ module Checkpoint = Icb_search.Checkpoint
 module Sresult = Icb_search.Sresult
 module Engine = Icb_search.Engine
 module Parallel = Icb_search.Parallel
+module Tape = Test_support.Tape
 
 let check = Alcotest.check
 
@@ -129,48 +130,6 @@ let determinism_tests =
 
 (* --- interrupt mid-search, resume without re-exploring -------------------- *)
 
-(* The machine engine wrapped so that every completed execution's schedule
-   lands on a shared tape; the wrapper is shared by all workers, so the
-   tape is the exact multiset of executions the whole pool explored. *)
-let recording_engine prog tape :
-    (module Engine.S
-       with type state = Icb_search.Mach_engine.state * int list) =
-  let module Base = (val Icb.engine prog) in
-  let m = Mutex.create () in
-  (module struct
-    type state = Base.state * int list (* reversed schedule *)
-
-    let initial () = (Base.initial (), [])
-    let enabled (s, _) = Base.enabled s
-    let status (s, _) = Base.status s
-    let signature (s, _) = Base.signature s
-    let depth (s, _) = Base.depth s
-    let blocking_ops (s, _) = Base.blocking_ops s
-    let preemptions (s, _) = Base.preemptions s
-    let schedule (s, _) = Base.schedule s
-    let thread_count (s, _) = Base.thread_count s
-    let step_footprint (s, _) t = Base.step_footprint s t
-
-    (* the pair is as persistent as the underlying machine state, so the
-       wrapper keeps the snapshot capability *)
-    type snap = state
-
-    let snapshot = Some (fun (s : state) -> s)
-    let restore (s : snap) = s
-
-    let step (s, sched) t =
-      let s' = Base.step s t in
-      let sched' = t :: sched in
-      (if Engine.is_terminal (Base.status s') then begin
-         Mutex.lock m;
-         tape := List.rev sched' :: !tape;
-         Mutex.unlock m
-       end);
-      (s', sched')
-  end)
-
-let sorted_tape tape = List.sort compare !tape
-
 let assert_no_duplicates what schedules =
   let rec dup = function
     | a :: (b :: _ as rest) -> if a = b then true else dup rest
@@ -191,21 +150,21 @@ let stress_tests =
         in
         let max_bound = 3 in
         (* uninterrupted reference: the full tape and final result *)
-        let full_tape = ref [] in
+        let full_tape = Tape.create () in
         let full =
           Explore.run
-            (recording_engine prog full_tape)
+            (Tape.recording_engine prog full_tape)
             (Explore.Icb { max_bound = Some max_bound; cache = false })
         in
-        assert_no_duplicates "reference run" (sorted_tape full_tape);
+        assert_no_duplicates "reference run" (Tape.sorted full_tape);
         (* kill a 4-domain run mid-search: a short wall-clock deadline,
            backed by an execution limit so the interruption survives
            arbitrarily fast hardware *)
         let path = tmp_ckpt () in
-        let t1 = ref [] in
+        let t1 = Tape.create () in
         let interrupted =
           Parallel.run
-            (fun _ -> recording_engine prog t1)
+            (fun _ -> Tape.recording_engine prog t1)
             ~options:
               {
                 Collector.default_options with
@@ -220,32 +179,36 @@ let stress_tests =
         check Alcotest.bool "a stop reason is recorded" true
           (interrupted.Sresult.stop_reason <> None);
         (* resume the checkpoint to the end, serially... *)
-        let t_serial = ref [] in
+        let t_serial = Tape.create () in
         let resumed_serial =
           Explore.resume
-            (recording_engine prog t_serial)
+            (Tape.recording_engine prog t_serial)
             (Checkpoint.load path)
         in
         (* ...and in parallel, from the same checkpoint *)
-        let t_par = ref [] in
+        let t_par = Tape.create () in
         let resumed_par =
           Explore.resume
-            (recording_engine prog t_par)
+            (Tape.recording_engine prog t_par)
             ~domains:4 (Checkpoint.load path)
         in
         Sys.remove path;
         (* no execution is explored twice across the kill... *)
-        let union_serial = List.sort compare (!t1 @ !t_serial) in
-        let union_par = List.sort compare (!t1 @ !t_par) in
+        let union_serial =
+          List.sort compare (Tape.runs t1 @ Tape.runs t_serial)
+        in
+        let union_par =
+          List.sort compare (Tape.runs t1 @ Tape.runs t_par)
+        in
         assert_no_duplicates "interrupted + serial resume" union_serial;
         assert_no_duplicates "interrupted + parallel resume" union_par;
         (* ...and nothing is missed either: both unions are exactly the
            uninterrupted run's execution multiset *)
         let schedules = Alcotest.list (Alcotest.list Alcotest.int) in
         check schedules "serial resume covers the full space"
-          (sorted_tape full_tape) union_serial;
+          (Tape.sorted full_tape) union_serial;
         check schedules "parallel resume covers the full space"
-          (sorted_tape full_tape) union_par;
+          (Tape.sorted full_tape) union_par;
         assert_equivalent "serial resume result" full resumed_serial;
         assert_equivalent "parallel resume result" full resumed_par);
   ]
