@@ -446,7 +446,11 @@ let enabled_raw (st : State.t) =
    decided in one forward pass over the scratch (which also learns
    whether any enabled thread is awake), then the list is built backward
    without re-running [instr_enabled] or filtering a copy.  Domain-local,
-   so parallel workers never contend. *)
+   so parallel workers never contend.  The threads of one domain do share
+   it, and the runtime may switch between them inside a call, so a call
+   takes the bytes out of the cell (leaving it empty, which makes a
+   concurrent call allocate its own) and puts them back at the end, as
+   [State.signature] does with its scratch. *)
 let enabled_scratch : Bytes.t ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (Bytes.create 16))
 
@@ -456,8 +460,11 @@ let enabled (st : State.t) =
   | None ->
     let n = Array.length st.threads in
     let cell = Domain.DLS.get enabled_scratch in
-    if Bytes.length !cell < n then cell := Bytes.create (max n (2 * Bytes.length !cell));
-    let bits = !cell in
+    let bits =
+      if Bytes.length !cell >= n then !cell
+      else Bytes.create (max n (2 * Bytes.length !cell))
+    in
+    cell := Bytes.empty;
     let any = ref false in
     let any_awake = ref false in
     for tid = 0 to n - 1 do
@@ -469,20 +476,19 @@ let enabled (st : State.t) =
         if not th.yielded then any_awake := true
       end
     done;
-    if not !any then []
-    else begin
-      (* yield flags hide a thread only while some awake thread remains:
-         a yielding thread cannot disable the whole program *)
-      let keep_yielded = not !any_awake in
-      let r = ref [] in
+    (* yield flags hide a thread only while some awake thread remains:
+       a yielding thread cannot disable the whole program *)
+    let keep_yielded = not !any_awake in
+    let r = ref [] in
+    if !any then
       for tid = n - 1 downto 0 do
         if
           Bytes.unsafe_get bits tid = '\001'
           && (keep_yielded || not (Array.unsafe_get st.threads tid).yielded)
         then r := tid :: !r
       done;
-      !r
-    end
+    cell := bits;
+    !r
 
 type status =
   | Running
@@ -490,17 +496,32 @@ type status =
   | Deadlock of int list
   | Error of Merr.t
 
-(* Existence check behind [status]: allocation-free, unlike building the
-   full enabled list just to test it for emptiness. *)
-let has_enabled (st : State.t) =
+(* Existence checks behind [status] and [is_enabled]: allocation-free,
+   unlike building the full enabled list just to test it.  [awake] limits
+   the search to threads without a yield flag. *)
+let has_enabled ?(awake = false) (st : State.t) =
   let n = Array.length st.threads in
   let rec go tid =
     tid < n
     &&
     let th = Array.unsafe_get st.threads tid in
-    ((not th.finished) && instr_enabled st th) || go (tid + 1)
+    ((not th.finished) && ((not awake) || not th.yielded) && instr_enabled st th)
+    || go (tid + 1)
   in
   go 0
+
+let is_enabled (st : State.t) tid =
+  match st.error with
+  | Some _ -> false
+  | None ->
+    tid >= 0
+    && tid < Array.length st.threads
+    &&
+    let th = Array.unsafe_get st.threads tid in
+    (not th.finished)
+    && instr_enabled st th
+    (* the yield-hiding rule of [enabled] *)
+    && ((not th.yielded) || not (has_enabled ~awake:true st))
 
 let status (st : State.t) =
   match st.error with
@@ -533,11 +554,21 @@ let step gran (st : State.t) tid =
   let th = State.thread_get st tid in
   if th.finished then invalid_arg "Interp.step: finished thread";
   if not (instr_enabled st th) then invalid_arg "Interp.step: blocked thread";
-  let st = clear_yields st in
+  let code = st.prog.procs.(th.proc).code in
+  (* Yield flags last until the next step that is a scheduling point at
+     both granularities.  A plain data access, a step of its own only at
+     [Every_access], leaves them set: it runs inside an enclosing step at
+     [Sync_only], so clearing there would let the two granularities hide
+     a yielding thread for different stretches of the same execution. *)
+  let data_step =
+    gran = Every_access
+    && th.pc < Array.length code
+    && classify_here st code.(th.pc) = Instr.Class_data
+  in
+  let st = if data_step then st else clear_yields st in
   let st = { st with last_tid = tid } in
   let ctx = { st; evs = []; gran } in
   let th = State.thread_get st tid in
-  let code = st.prog.procs.(th.proc).code in
   let blocking_op =
     th.pc < Array.length code && Instr.is_potentially_blocking code.(th.pc)
   in

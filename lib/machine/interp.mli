@@ -56,10 +56,14 @@ val enabled_raw : State.t -> int list
     flags. *)
 
 val enabled : State.t -> int list
-(** The scheduler-visible enabled set: [enabled_raw] minus threads that
-    yielded since the last step — unless that leaves nothing, in which case
-    yield flags are ignored (a yielding thread cannot disable the whole
-    program). *)
+(** The scheduler-visible enabled set: [enabled_raw] minus threads whose
+    yield flag is set (see [State.thread]) — unless that leaves nothing,
+    in which case yield flags are ignored (a yielding thread cannot
+    disable the whole program). *)
+
+val is_enabled : State.t -> int -> bool
+(** [is_enabled st tid] is [List.mem tid (enabled st)], decided without
+    building the list (and without allocating). *)
 
 type status =
   | Running               (** at least one thread is enabled *)

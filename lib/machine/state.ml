@@ -129,7 +129,11 @@ let all_finished t = Array.for_all (fun th -> th.finished) t.threads
    then a breadth-first walk through the cells discovered so far.  Values in
    freed cells are not traversed (dangling handles serialize as the special
    marker below).  Unreachable live cells are leaked memory; they are
-   appended in address order so that a leak still distinguishes states. *)
+   appended in address order so that a leak still distinguishes states.
+
+   [canonical_buf] is the reference serializer behind [canonical_repr];
+   [signature] below streams the very same bytes without building a
+   string, and the tests pin the two together. *)
 
 let canonical_buf t buf =
   let rename = Hashtbl.create 16 in
@@ -185,9 +189,7 @@ let canonical_buf t buf =
     t.threads;
   Buffer.add_char buf '|';
   (* walk the heap in canonical discovery order *)
-  let emitted = ref 0 in
   let emit_cell addr =
-    incr emitted;
     match Heap_map.find_opt addr t.heap with
     | None | Some { freed = true; _ } -> Buffer.add_char buf '!'
     | Some { data; freed = false } ->
@@ -214,15 +216,200 @@ let canonical_buf t buf =
   Buffer.add_char buf '|';
   (match t.error with
   | None -> ()
-  | Some e -> Buffer.add_string buf (Merr.key e));
-  ignore !emitted
+  | Some e -> Buffer.add_string buf (Merr.key e))
 
 let canonical_repr t =
   let buf = Buffer.create 256 in
   canonical_buf t buf;
   Buffer.contents buf
 
-let signature t = Icb_util.Fnv.hash_string (canonical_repr t)
+(* --- streamed fingerprint --------------------------------------------- *)
+
+(* [signature] writes the bytes [canonical_buf] would write into a
+   per-domain scratch that is reset, never reallocated, on each call:
+   decimal digits go straight into the byte buffer, heap renaming reuses
+   one table, and the discovery-order array doubles as the walk's queue.
+   A heap-free state therefore allocates nothing but the boxed hash.
+
+   The threads of one domain share its scratch, and the runtime may
+   switch between them at any allocation or poll inside a call, so a
+   call takes the scratch out of the domain's cell and puts it back when
+   done; a call that finds the cell empty works in a fresh scratch, which
+   it leaves there.  Nothing can switch threads between reading the cell
+   and emptying it: that stretch neither allocates nor polls. *)
+
+module Addr_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash a = a land max_int
+end)
+
+type scratch = {
+  mutable out : Bytes.t;
+  mutable len : int;            (* bytes written by this call *)
+  rename : int Addr_tbl.t;      (* heap address -> canonical number *)
+  mutable order : int array;    (* canonical number -> heap address *)
+  mutable head : int;           (* next entry of [order] to emit *)
+}
+
+let fresh_scratch () =
+  {
+    out = Bytes.create 256;
+    len = 0;
+    rename = Addr_tbl.create 16;
+    order = Array.make 16 0;
+    head = 0;
+  }
+
+let scratch_key : scratch option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref (Some (fresh_scratch ())))
+
+let grow sc n =
+  let out = Bytes.create (max (sc.len + n) (2 * Bytes.length sc.out)) in
+  Bytes.blit sc.out 0 out 0 sc.len;
+  sc.out <- out
+
+let put_char sc c =
+  if sc.len >= Bytes.length sc.out then grow sc 1;
+  Bytes.unsafe_set sc.out sc.len c;
+  sc.len <- sc.len + 1
+
+(* The digits of [string_of_int n], computed on [-|n|] so that [min_int]
+   needs no special case (its 20 characters bound the reservation). *)
+let put_int sc n =
+  if sc.len + 20 > Bytes.length sc.out then grow sc 20;
+  let out = sc.out in
+  let start =
+    if n < 0 then begin
+      Bytes.unsafe_set out sc.len '-';
+      sc.len + 1
+    end
+    else sc.len
+  in
+  let m = if n < 0 then n else -n in
+  let digits = ref 1 and q = ref (m / 10) in
+  while !q <> 0 do
+    incr digits;
+    q := !q / 10
+  done;
+  let r = ref m in
+  for i = start + !digits - 1 downto start do
+    Bytes.unsafe_set out i (Char.unsafe_chr (48 - (!r mod 10)));
+    r := !r / 10
+  done;
+  sc.len <- start + !digits
+
+let put_string sc s =
+  let n = String.length s in
+  if sc.len + n > Bytes.length sc.out then grow sc n;
+  Bytes.blit_string s 0 sc.out sc.len n;
+  sc.len <- sc.len + n
+
+let canon_of sc addr =
+  if addr < 0 then -1
+  else
+    match Addr_tbl.find_opt sc.rename addr with
+    | Some c -> c
+    | None ->
+      let c = Addr_tbl.length sc.rename in
+      Addr_tbl.add sc.rename addr c;
+      if c = Array.length sc.order then begin
+        let order = Array.make (2 * c) 0 in
+        Array.blit sc.order 0 order 0 c;
+        sc.order <- order
+      end;
+      sc.order.(c) <- addr;
+      c
+
+let put_values sc vs =
+  for i = 0 to Array.length vs - 1 do
+    (match Array.unsafe_get vs i with
+    | Value.Int n ->
+      put_char sc 'i';
+      put_int sc n
+    | Value.Bool b -> put_char sc (if b then 'T' else 'F')
+    | Value.Handle h ->
+      put_char sc 'h';
+      put_int sc (canon_of sc h));
+    put_char sc ';'
+  done
+
+(* emit cells in discovery order until the walk catches up with the
+   renaming, which emitting a cell may extend *)
+let rec drain sc heap =
+  if sc.head < Addr_tbl.length sc.rename then begin
+    let addr = sc.order.(sc.head) in
+    sc.head <- sc.head + 1;
+    (match Heap_map.find_opt addr heap with
+    | None | Some { freed = true; _ } -> put_char sc '!'
+    | Some { data; freed = false } ->
+      put_char sc '[';
+      put_values sc data;
+      put_char sc ']');
+    drain sc heap
+  end
+
+let put_leaked sc heap addr cell =
+  if (not cell.freed) && not (Addr_tbl.mem sc.rename addr) then begin
+    put_char sc 'L';
+    ignore (canon_of sc addr);
+    drain sc heap
+  end
+
+let fingerprint sc t =
+  sc.len <- 0;
+  sc.head <- 0;
+  Addr_tbl.clear sc.rename;
+  put_values sc t.globals;
+  put_char sc '|';
+  for i = 0 to Array.length t.syncs - 1 do
+    (match Array.unsafe_get t.syncs i with
+    | Mutex_cell owner ->
+      put_char sc 'm';
+      put_int sc owner
+    | Event_cell s -> put_char sc (if s then 'E' else 'e')
+    | Sem_cell n ->
+      put_char sc 's';
+      put_int sc n);
+    put_char sc ';'
+  done;
+  put_char sc '|';
+  for i = 0 to Array.length t.threads - 1 do
+    let th = Array.unsafe_get t.threads i in
+    put_int sc th.proc;
+    put_char sc ':';
+    put_int sc th.pc;
+    put_char sc (if th.finished then 'X' else 'R');
+    put_char sc (if th.yielded then 'Y' else 'N');
+    put_int sc th.atomic;
+    put_char sc ',';
+    put_values sc th.regs;
+    put_char sc '/'
+  done;
+  put_char sc '|';
+  drain sc t.heap;
+  if not (Heap_map.is_empty t.heap) then
+    Heap_map.iter (put_leaked sc t.heap) t.heap;
+  put_char sc '|';
+  (match t.error with
+  | None -> ()
+  | Some e -> put_string sc (Merr.key e));
+  Icb_util.Fnv.bytes Icb_util.Fnv.basis sc.out 0 sc.len
+
+let signature t =
+  let cell = Domain.DLS.get scratch_key in
+  match !cell with
+  | Some sc as taken ->
+    cell := None;
+    let h = fingerprint sc t in
+    cell := taken;
+    h
+  | None ->
+    let sc = fresh_scratch () in
+    let h = fingerprint sc t in
+    cell := Some sc;
+    h
 
 let pp fmt t =
   let f x = Format.fprintf fmt x in

@@ -17,7 +17,10 @@ type thread = {
   pc : int;
   regs : Value.t array;
   finished : bool;
-  yielded : bool;  (** set by [Yield]; cleared after the next step *)
+  yielded : bool;
+      (** set by [Yield]; cleared by the next step of any thread, except a
+          step that is a plain data access (a scheduling point under
+          every-access scheduling only; see [Interp.step]) *)
   atomic : int;    (** nesting depth of entered atomic sections *)
 }
 
@@ -67,11 +70,19 @@ val add_thread : t -> thread -> t * int
 val all_finished : t -> bool
 
 val signature : t -> int64
-(** 64-bit FNV fingerprint of the canonical representation. *)
+(** 64-bit FNV-1a fingerprint of the canonical representation: always
+    [Fnv.hash_string (canonical_repr t)], so fingerprints stored in
+    checkpoints and compared across runs keep their values.  The bytes
+    are streamed into a per-domain scratch buffer and hashed in place
+    rather than built as a string, so a heap-free state allocates only
+    the boxed result; states with a heap also reuse one renaming table
+    per domain.  Safe to call from several domains at once. *)
 
 val canonical_repr : t -> string
-(** The full canonical serialization (exact, collision-free); used by tests
-    and available for exact state caching. *)
+(** The full canonical serialization (exact, collision-free), built by a
+    straightforward reference serializer.  [signature] hashes exactly
+    these bytes; tests pin the two together, and the string is available
+    for exact state caching. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump for trace reports. *)

@@ -135,6 +135,11 @@ end
 (** Shared preemption-accounting rule (paper, Appendix A): the switch to
     [chosen] at a state whose last step was by [last_tid] is preempting iff
     [last_tid] ran before, is different from [chosen], and is still
-    schedulable. *)
+    schedulable, i.e. [is_enabled x last_tid].  Engines that can answer
+    that without building the enabled list call this directly. *)
+let preempting_by is_enabled x ~last_tid ~chosen =
+  last_tid >= 0 && chosen <> last_tid && is_enabled x last_tid
+
+(** [preempting_by] asking membership in the [enabled] list. *)
 let preempting ~last_tid ~enabled ~chosen =
-  last_tid >= 0 && chosen <> last_tid && List.mem last_tid enabled
+  preempting_by (fun en t -> List.mem t en) enabled ~last_tid ~chosen

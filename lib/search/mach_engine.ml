@@ -85,12 +85,18 @@ end) : Engine.S with type state = state = struct
       | Ok d -> (Det_gold d, None)
       | Error r -> (det, Some r))
 
+  (* the happens-before signature is read only in [Hb_signature] mode *)
+  let observe_hb hbs events =
+    match cfg.signature_mode with
+    | Hb_signature -> Icb_race.Hbsig.observe hbs events
+    | Canonical_state -> hbs
+
   let initial () =
     let r = Interp.start cfg.granularity Cfg.prog in
     let det, race = run_detector (init_detector ()) r.events in
     {
       mstate = r.state;
-      hbs = Icb_race.Hbsig.observe Icb_race.Hbsig.empty r.events;
+      hbs = observe_hb Icb_race.Hbsig.empty r.events;
       det;
       race;
       depth = 0;
@@ -115,17 +121,22 @@ end) : Engine.S with type state = state = struct
       | Interp.Error e ->
         Engine.Failed { key = Merr.key e; msg = Merr.to_string e })
 
+  (* [List.mem tid (enabled s)] without building the list *)
+  let still_enabled s tid =
+    match s.race with
+    | Some _ -> false
+    | None -> Interp.is_enabled s.mstate tid
+
   let step s tid =
-    let en = enabled s in
     let preempting =
-      Engine.preempting ~last_tid:s.mstate.State.last_tid ~enabled:en
+      Engine.preempting_by still_enabled s ~last_tid:s.mstate.State.last_tid
         ~chosen:tid
     in
     let r = Interp.step cfg.granularity s.mstate tid in
     let det, race = run_detector s.det r.events in
     {
       mstate = r.state;
-      hbs = Icb_race.Hbsig.observe s.hbs r.events;
+      hbs = observe_hb s.hbs r.events;
       det;
       race;
       depth = s.depth + 1;

@@ -154,9 +154,55 @@ let combin_tests =
 let fnv_tests =
   [
     Alcotest.test_case "known vector" `Quick (fun () ->
-        (* FNV-1a 64 of empty input is the offset basis *)
-        check Alcotest.string "empty" "cbf29ce484222325"
-          (Fnv.to_hex (Fnv.hash_string "")));
+        (* the published FNV-1a 64 test vectors; empty input hashes to the
+           offset basis *)
+        List.iter
+          (fun (input, hex) ->
+            check Alcotest.string (Printf.sprintf "%S" input) hex
+              (Fnv.to_hex (Fnv.hash_string input)))
+          [
+            ("", "cbf29ce484222325");
+            ("a", "af63dc4c8601ec8c");
+            ("foobar", "85944171f73967e8");
+          ]);
+    qtest
+      (QCheck.Test.make ~name:"bytes over a slice equals string of the slice"
+         ~count:300
+         (QCheck.make
+            QCheck.Gen.(triple string (int_bound 64) (int_bound 64)))
+         (fun (s, a, b) ->
+           let n = String.length s in
+           let off = min a n in
+           let len = min b (n - off) in
+           Fnv.bytes Fnv.basis (Bytes.of_string s) off len
+           = Fnv.hash_string (String.sub s off len)));
+    Alcotest.test_case "bytes rejects a range outside the buffer" `Quick
+      (fun () ->
+        let b = Bytes.of_string "abc" in
+        List.iter
+          (fun (off, len) ->
+            Alcotest.check_raises
+              (Printf.sprintf "off %d len %d" off len)
+              (Invalid_argument "Fnv.bytes")
+              (fun () -> ignore (Fnv.bytes Fnv.basis b off len)))
+          [ (-1, 1); (0, 4); (2, 2); (4, 0); (1, -1) ]);
+    Alcotest.test_case "int and int64 feed their little-endian bytes" `Quick
+      (fun () ->
+        let le n =
+          let b = Bytes.create 8 in
+          Bytes.set_int64_le b 0 n;
+          Fnv.bytes Fnv.basis b 0 8
+        in
+        List.iter
+          (fun n ->
+            let n64 = Int64.of_int n in
+            check Alcotest.int64 (string_of_int n ^ "L") (le n64)
+              (Fnv.int64 Fnv.basis n64);
+            (* a native int has 63 bits: its top byte carries only 7 *)
+            check Alcotest.int64 (string_of_int n)
+              (le (Int64.logand n64 Int64.max_int))
+              (Fnv.int Fnv.basis n))
+          [ 0; 1; -1; 255; 256; max_int; min_int; 0x123456789abcdef ]);
     Alcotest.test_case "distinct strings hash differently" `Quick (fun () ->
         check Alcotest.bool "a vs b" true
           (Fnv.hash_string "a" <> Fnv.hash_string "b");
