@@ -13,7 +13,14 @@
     I/O dependence) and must create all its shims inside the body, since
     the checker re-executes it from scratch to replay schedules.  Any
     exception escaping a thread is reported as a bug, so plain [assert]
-    and [failwith] express correctness conditions. *)
+    and [failwith] express correctness conditions.
+
+    The shim primitives find the execution they belong to through a
+    domain-local slot that {!Run.step} sets for the duration of the step,
+    so explorations on different domains (e.g. [Explore.run ~domains:2])
+    never see each other's runs.  Systhreads of one domain share that
+    slot: two systhreads must not step executions of the same domain at
+    the same time. *)
 
 exception Chess_misuse of string
 (** Raised when a primitive is used outside a running exploration, or on
@@ -106,6 +113,13 @@ module Run : sig
   val enabled_raw : t -> int list
   val enabled : t -> int list  (** yield-adjusted, like the machine's *)
 
+  val is_enabled : t -> int -> bool
+  (** [is_enabled r t] is [List.mem t (enabled r)], decided without
+      building the list (and without allocating). *)
+
+  val running : t -> bool
+  (** [running r] is [status r = Running], decided without allocating. *)
+
   type status =
     | Running
     | Terminated
@@ -113,6 +127,9 @@ module Run : sig
     | Failed of string
 
   val status : t -> status
+
+  val scan : t -> int list * status
+  (** [(enabled r, status r)], from one walk over the threads. *)
 
   val step : t -> int -> Icb_machine.Interp.event list * bool
   (** Execute one scheduling step of the given enabled thread: its pending

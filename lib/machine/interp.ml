@@ -7,6 +7,24 @@ type var_id =
   | Hcell of int * int
   | Svar of int * int
 
+let compare_var_id a b =
+  match (a, b) with
+  | Gvar (a1, a2), Gvar (b1, b2)
+  | Hcell (a1, a2), Hcell (b1, b2)
+  | Svar (a1, a2), Svar (b1, b2) ->
+    let c = Int.compare a1 b1 in
+    if c <> 0 then c else Int.compare a2 b2
+  | Gvar _, _ -> -1
+  | _, Gvar _ -> 1
+  | Hcell _, _ -> -1
+  | _, Hcell _ -> 1
+
+module Var_map = Map.Make (struct
+  type t = var_id
+
+  let compare = compare_var_id
+end)
+
 type event =
   | Ev_data of { tid : int; var : var_id; write : bool }
   | Ev_sync of { tid : int; var : var_id }

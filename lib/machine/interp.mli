@@ -27,6 +27,14 @@ type var_id =
   | Hcell of int * int  (** heap address, element index *)
   | Svar of int * int   (** sync object id, element index *)
 
+val compare_var_id : var_id -> var_id -> int
+(** The total order [Stdlib.compare] puts on variables (by kind, [Gvar]
+    before [Hcell] before [Svar], then by the two indices), decided with
+    integer comparisons only. *)
+
+module Var_map : Map.S with type key = var_id
+(** Maps keyed by {!compare_var_id}. *)
+
 type event =
   | Ev_data of { tid : int; var : var_id; write : bool }
       (** plain (non-synchronization) access *)
