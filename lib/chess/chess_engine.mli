@@ -55,6 +55,7 @@ val shared_env : ?max_steps:int -> (unit -> unit) -> Icb_search.Strategy.env
     env. *)
 
 val replays : unit -> int
-(** Number of from-scratch replays performed since the program started —
+(** Number of from-scratch replays performed since the program started,
+    on every domain —
     exposed so tests and benchmarks can report the stateless exploration's
     replay overhead. *)

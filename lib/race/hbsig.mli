@@ -12,7 +12,17 @@
     thread's operation count.  Within a variable the sequence order
     matters; across variables it must not — reordering independent steps
     permutes events of different variables but preserves each variable's
-    sequence. *)
+    sequence.
+
+    The state is persistent: an access sequence is kept as its running
+    hash in a map keyed by {!Icb_machine.Interp.compare_var_id}, the
+    per-thread counts in an immutable [int array], and the signature
+    itself as a running wrapping sum of one term per variable and one per
+    thread.  [observe] updates that sum as it changes a term (subtracting
+    the old term, adding the new one), so [signature] is O(1) and
+    returns exactly the value a fold over every variable and thread
+    would.  Checkpointed visited-signature sets and the pinned
+    distinct-state counts depend on those values. *)
 
 type t
 
@@ -22,4 +32,4 @@ val observe : t -> Icb_machine.Interp.event list -> t
 (** Fold the events of one step into the signature state. *)
 
 val signature : t -> int64
-(** The current signature. *)
+(** The current signature, in O(1). *)

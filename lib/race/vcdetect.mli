@@ -7,7 +7,10 @@
     epoch and the read epochs since that write.
 
     The state is persistent: the search can branch an execution and carry
-    the detector along each branch. *)
+    the detector along each branch.  Per-thread clocks live in an array
+    that [observe] copies at most once per call (on its first clock
+    update) and never writes after returning it; the per-variable states
+    are maps keyed by {!Icb_machine.Interp.compare_var_id}. *)
 
 type t
 
