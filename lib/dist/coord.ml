@@ -542,7 +542,11 @@ let serve_round (type s) t (rc : s Rounds.round) (work : s Strategy.item list)
           if rs.rs_completed >= nb || t.stop_requested <> None then `Barrier
           else if t.ck_wanted then begin
             t.ck_wanted <- false;
-            `Ckpt (Array.copy rs.rs_reports)
+            (* captured under the lock, which also orders the cadence
+               mark against [tally] *)
+            `Write
+              (rc.Rounds.capture (reports rs.rs_reports)
+                 (unabsorbed rs.rs_reports))
           end
           else begin
             Condition.wait t.cv t.m;
@@ -551,10 +555,10 @@ let serve_round (type s) t (rc : s Rounds.round) (work : s Strategy.item list)
     in
     match what with
     | `Barrier -> ()
-    | `Ckpt reps ->
-      (* assembled in this thread with [t.m] released, over a capture
-         taken under the lock *)
-      rc.Rounds.save_mid (reports reps) (unabsorbed reps);
+    | `Write write ->
+      (* written in this thread with [t.m] released: connections go on
+         absorbing reports meanwhile *)
+      write ();
       wait ()
     | `Again -> wait ()
   in
@@ -636,9 +640,16 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
         tick ())
       ()
   in
-  (try
-     Rounds.run (module S) sess ~workers:1 ~root:(module E) (serve_round t)
-   with Collector.Stop -> ());
+  (* However the search ends — a checkpoint write may raise — the phase
+     goes [Finished], so the ticker stops and polling workers get [Done]
+     instead of waiting on a round nobody serves. *)
+  let outcome =
+    match
+      Rounds.run (module S) sess ~workers:1 ~root:(module E) (serve_round t)
+    with
+    | () | (exception Collector.Stop) -> Ok ()
+    | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
+  in
   Rounds.with_lock t.m (fun () ->
       t.phase <- Finished;
       t.round <- None;
@@ -657,4 +668,6 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
     end
   in
   drain ();
-  Rounds.finish sess
+  match outcome with
+  | Ok () -> Rounds.finish sess
+  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt

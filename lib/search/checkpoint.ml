@@ -84,9 +84,15 @@ type t_v1 = {
   v1_frontier : frontier;
 }
 
+(* Marshal without sharing detection: the payload is plain tree-shaped
+   data — int lists, strings, the visited set's boxed int64s — so the
+   bytes are those sharing would produce, without the cost of a lookup
+   per block (most of a large save).  The payload must stay that way:
+   [No_sharing] never terminates on a cyclic value and writes a shared
+   one once per reference. *)
 let save ~path t =
   Icb_util.Framing.write_file ~path ~magic ~version
-    ~payload:(Marshal.to_string t [])
+    ~payload:(Marshal.to_string t [ Marshal.No_sharing ])
 
 let load path =
   match

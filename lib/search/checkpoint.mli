@@ -70,7 +70,13 @@ exception Corrupt of string
 
 val save : path:string -> t -> unit
 (** Atomic write: marshal to a temp file in the same directory, then
-    rename over [path].  Always writes the current format version. *)
+    rename over [path].  Always writes the current format version.
+
+    The payload is marshalled with [Marshal.No_sharing]: [t] must stay
+    plain tree-shaped data (lists, strings, records, arrays of boxed
+    integers).  [No_sharing] never terminates on a cyclic value and
+    writes a shared value once per reference.  Raises [Sys_error] when
+    the file cannot be written. *)
 
 val load : string -> t
 (** Raises {!Corrupt} on anything that is not a complete, intact

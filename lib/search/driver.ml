@@ -24,8 +24,9 @@
    per-execution hook aggregates global counters and sets a stop flag),
    which keeps the no-duplicate resume guarantee.  Mid-round periodic
    checkpoints use the pause protocol: every live worker parks at its
-   next item boundary and the last one to park hands the quiescent state
-   to the core's checkpoint assembly. *)
+   next item boundary, and the last one to park captures the quiescent
+   state through the core, releases the others, and then writes the file
+   while they search on. *)
 
 (* A mutex-protected deque: the owner pushes and pops at the front (so a
    strategy's own follow-ups pop depth-first, keeping the frontier
@@ -323,8 +324,12 @@ let domain_transport (type s)
        item: the peer may push more current-round work their way. *)
     let busy = Atomic.make 0 in
     (* Pause/checkpoint protocol state; [parked] and [running] are guarded
-       by [pm]. *)
+       by [pm].  [writing] is set while a captured checkpoint is not yet
+       on disk: no pause is requested meanwhile (it would park the peers
+       until the writer parks too), so at most one write is in flight and
+       files land in capture order. *)
     let pause = Atomic.make false in
+    let writing = Atomic.make false in
     let pm = Mutex.create () in
     let pc = Condition.create () in
     let parked = ref 0 in
@@ -384,39 +389,70 @@ let domain_transport (type s)
     let remaining () =
       Array.fold_left (fun acc q -> acc @ Dq.snapshot q) [] deques
     in
-    (* Run by the last worker to park (all other live workers are blocked
-       on [pc], so their collectors, next-lists, deques and worker states
-       are quiescent; the mutex hand-offs make their writes visible). *)
+    (* Run under [pm] by the last worker to park (all other live workers
+       are blocked on [pc], so their collectors, next-lists, deques and
+       worker states are quiescent; the mutex hand-offs make their writes
+       visible).  It only captures: it releases the others at once and
+       returns the checkpoint's write, which the caller runs after
+       dropping [pm] while its peers go on searching.  A round that is
+       stopping or drained captures nothing — the final save or the next
+       pause supersedes it at once, and the checkpoint stays due. *)
     let quorum () =
       if Atomic.get pause && !parked = !running then begin
-        rc.save_mid (reports ()) (remaining ());
         Atomic.set pause false;
-        Condition.broadcast pc
+        Condition.broadcast pc;
+        if Atomic.get stop <> None || Atomic.get failed <> None then None
+        else
+          match remaining () with
+          | [] -> None
+          | rest -> (
+            Atomic.set writing true;
+            match rc.capture (reports ()) rest with
+            | write -> Some write
+            | exception exn -> Some (fun () -> raise exn))
       end
+      else None
+    in
+    (* A write that fails stops the round through [failed]; [pause] is
+       already clear, so no peer is left parked. *)
+    let write_out = function
+      | None -> ()
+      | Some write ->
+        (try write ()
+         with exn -> ignore (Atomic.compare_and_set failed None (Some exn)));
+        Atomic.set writing false
     in
     let park () =
-      Rounds.with_lock pm (fun () ->
-          if Atomic.get pause then begin
-            incr parked;
-            quorum ();
-            while Atomic.get pause do
-              Condition.wait pc pm
-            done;
-            decr parked
-          end)
+      write_out
+        (Rounds.with_lock pm (fun () ->
+             if Atomic.get pause then begin
+               incr parked;
+               let w = quorum () in
+               while Atomic.get pause do
+                 Condition.wait pc pm
+               done;
+               decr parked;
+               w
+             end
+             else None))
     in
     (* A worker that runs out of work may be the one whose parking the
        others are waiting for; complete the quorum on the way out. *)
     let retire () =
-      Rounds.with_lock pm (fun () ->
-          decr running;
-          quorum ())
+      write_out
+        (Rounds.with_lock pm (fun () ->
+             decr running;
+             quorum ()))
+    in
+    let due () =
+      (not (Atomic.get writing)) && rc.ckpt_due ~executions:(Atomic.get g_execs)
     in
     let maybe_request_ckpt () =
-      if rc.ckpt_due ~executions:(Atomic.get g_execs) then
+      if due () then
         Rounds.with_lock pm (fun () ->
-            (* only between pauses: [parked] must have drained *)
-            if (not (Atomic.get pause)) && !parked = 0 then
+            (* only between pauses: [parked] must have drained; re-read
+               the cadence mark under the lock that orders its update *)
+            if (not (Atomic.get pause)) && !parked = 0 && due () then
               Atomic.set pause true)
     in
     let worker i () =
@@ -449,8 +485,11 @@ let domain_transport (type s)
       in
       let rec loop () =
         if Atomic.get stop <> None || Atomic.get failed <> None then ()
+        else if Atomic.get pause then begin
+          park ();
+          loop ()
+        end
         else begin
-          if Atomic.get pause then park ();
           match take () with
           | Some it ->
             Atomic.incr busy;

@@ -6,10 +6,11 @@
 
    - run set-up and teardown ({!start}, {!finish}): checkpoint tag and
      program-fingerprint checks, the master collector, cumulative
-     wall-clock stamping, checkpoint write control, and the
-     [Run_started]/[Run_finished] events;
+     wall-clock stamping, and the [Run_started]/[Run_finished] events;
+   - checkpoints, as a capture and a write ({!checkpoint}, and the
+     round's [capture] for mid-round ones);
    - the limit checks ({!check_limits}, one fixed order);
-   - the sorted round and the mid-round checkpoint assembly;
+   - the sorted round;
    - the deterministic barrier merge ({!merge}, then per-report
      telemetry and [Worker_stats] in report order);
    - the strategy's [after_round] dispatch;
@@ -49,6 +50,13 @@ let cmp_item a b =
    materializations hit the replay cache. *)
 let sorted_items its = List.sort cmp_item its
 let strip_items its = List.map Strategy.prefix_of its
+
+(* Stripped items in round order, as a checkpoint stores them.  Sorted in
+   an array: a list merge sort allocates a cell per element per pass. *)
+let sorted_prefixes ps =
+  let a = Array.of_list ps in
+  Array.stable_sort compare a;
+  Array.to_list a
 
 (* Contiguous slices of at most [size] items, in order. *)
 let slices ~size items =
@@ -224,15 +232,25 @@ let item_runner (type s) (module E : Engine.S with type state = s)
 
 (* --- run set-up and teardown ---------------------------------------------- *)
 
+(* Checkpoint write control. *)
+type ckpt_ctl = {
+  ck_path : string;
+  ck_every : int;               (* executions between periodic saves *)
+  ck_meta : (string * string) list;
+  mutable ck_last : int;        (* executions at the last capture *)
+  ck_events : Icb_obs.Emit.t;   (* telemetry for Checkpoint_written *)
+}
+
 type session = {
   master : Collector.t;
   options : Collector.options;  (* the caller's, telemetry installed *)
   emit : Icb_obs.Emit.t;
-  ckpt : Search_core.ckpt_ctl option;
+  ckpt : ckpt_ctl option;
   resume : Checkpoint.v3 option;
   name : string;
   stamp : Checkpoint.v3 -> Checkpoint.v3;
-      (* appends the fingerprint and cumulative timing params *)
+      (* appends the fingerprint and cumulative timing params, as of
+         the call *)
   note_round_done : int -> unit;
 }
 
@@ -321,7 +339,7 @@ let start (type s) (module S : Strategy.S with type state = s) ~who ~fp
     Option.map
       (fun path ->
         {
-          Search_core.ck_path = path;
+          ck_path = path;
           ck_every = max 1 checkpoint_every;
           ck_meta = checkpoint_meta;
           ck_last = Collector.executions master;
@@ -335,21 +353,48 @@ let start (type s) (module S : Strategy.S with type state = s) ~who ~fp
          { strategy = S.name; domains; resumed = resume_from <> None });
   { master; options; emit; ckpt; resume; name = S.name; stamp; note_round_done }
 
-(* Save [col] with the frontier [frontier ()] (built only when a
-   checkpoint is being written). *)
+(* --- checkpoints ------------------------------------------------------------ *)
+
+(* A checkpoint is taken in two halves.  The capture runs while the
+   search is quiescent — the serial loop between items, the domain
+   transport's pause quorum, the lease transport under its lock, the
+   run's end — and reads everything that is live: the strategy's params
+   over the worker states, the clock, the items and reports as they stand.
+   It also moves the cadence mark [ck_last].  The write then sorts the
+   captured items, builds the collector to save, marshals, frames and
+   renames; it reads nothing the workers own, so a transport may run it
+   after releasing them, one write at a time, in capture order. *)
+
+(* The write half: [col] with the frontier [f], then [Checkpoint_written]
+   once the file is in place. *)
+let write sess ctl col (f : Checkpoint.v3) =
+  Checkpoint.save ~path:ctl.ck_path
+    {
+      Checkpoint.strategy = sess.name;
+      meta = ctl.ck_meta;
+      collector = Collector.snapshot col;
+      frontier = Checkpoint.V3 f;
+    };
+  if Icb_obs.Emit.enabled ctl.ck_events then
+    Icb_obs.Emit.emit ctl.ck_events
+      (Icb_obs.Event.Checkpoint_written
+         { path = ctl.ck_path; executions = Collector.executions col })
+
+(* Capture and write at once, where the caller owns [col] and the
+   frontier [frontier ()] (built only when a checkpoint is being
+   written): the serial loop and the run's final save. *)
 let checkpoint sess col frontier =
   match sess.ckpt with
   | None -> ()
   | Some ctl ->
-    Search_core.save_checkpoint col ctl ~strategy:sess.name
-      ~frontier:(Checkpoint.V3 (sess.stamp (frontier ())))
+    ctl.ck_last <- Collector.executions col;
+    write sess ctl col (sess.stamp (frontier ()))
 
 (* A periodic checkpoint is due once the run has [executions]. *)
 let checkpoint_due sess ~executions =
   match sess.ckpt with
   | None -> false
-  | Some ctl ->
-    executions - ctl.Search_core.ck_last >= ctl.Search_core.ck_every
+  | Some ctl -> executions - ctl.ck_last >= ctl.ck_every
 
 let start_round sess ~round n =
   Collector.note_frontier sess.master n;
@@ -385,9 +430,12 @@ type 's round = {
       (* {!check_limits} over round-local deltas on top of [base] *)
   ckpt_due : executions:int -> bool;
       (* a periodic checkpoint is due after that many round executions *)
-  save_mid : 's report option array -> 's Strategy.item list -> unit;
-      (* mid-round checkpoint from the reports so far and the items not
-         yet processed; the caller guarantees they are quiescent *)
+  capture : 's report option array -> 's Strategy.item list -> unit -> unit;
+      (* a mid-round checkpoint from the reports so far and the items not
+         yet processed.  Applied while they are quiescent, it captures
+         (see {!checkpoint}) and returns the write, which may run once
+         the workers have resumed — at most one in flight, in capture
+         order, and all before the transport returns *)
   sent : Checkpoint.v3 Lazy.t;
       (* the round's tag, counter and params, for remote strategy
          instances (no frontier: the core holds no item past its hand-off,
@@ -415,14 +463,15 @@ let run (type s) (module S : Strategy.S with type state = s) sess ~workers
   let progress_m = Mutex.create () in
   (* Serialize a frontier with the workers' [reported] round-local params
      folded over this instance's own. *)
-  let save ?(reported = []) col ~work ~next =
+  let frontier ?(reported = []) ~work ~next () =
+    let f = S.to_prefixes ~wstates ~work ~next in
+    let sent = f.Checkpoint.v3_params in
+    { f with Checkpoint.v3_params = Strategy.merge_params ~sent ~reported }
+  in
+  (* [work] and [next] in round order *)
+  let save col ~work ~next =
     checkpoint sess col (fun () ->
-        let f =
-          S.to_prefixes ~wstates ~work:(strip_items work)
-            ~next:(strip_items next)
-        in
-        let sent = f.Checkpoint.v3_params in
-        { f with Checkpoint.v3_params = Strategy.merge_params ~sent ~reported })
+        frontier ~work:(strip_items work) ~next:(strip_items next) ())
   in
   let rec drive work carry =
     (* An empty frontier still runs the (trivial) round: a resumed
@@ -452,16 +501,37 @@ let run (type s) (module S : Strategy.S with type state = s) sess ~workers
         ckpt_due =
           (fun ~executions ->
             checkpoint_due sess ~executions:(base.executions + executions));
-        save_mid =
+        capture =
           (fun reports remaining ->
             match sess.ckpt with
-            | None -> ()
-            | Some _ ->
-              let scratch = Collector.restore (stripped options) master_snap in
-              merge scratch reports;
-              save scratch ~reported:(params_of reports)
-                ~work:(sorted_items remaining)
-                ~next:(sorted_items (carry @ deferred_of reports)));
+            | None -> ignore
+            | Some ctl ->
+              ctl.ck_last <-
+                Array.fold_left
+                  (fun n -> function
+                    | None -> n
+                    | Some r -> n + Collector.snapshot_executions r.r_snap)
+                  base.executions reports;
+              (* the strategy's params go empty-handed through
+                 [to_prefixes], which places work and next verbatim *)
+              let f =
+                sess.stamp
+                  (frontier ~reported:(params_of reports) ~work:[] ~next:[] ())
+              in
+              (* stripped now, so the items' retained states can die
+                 as the workers go on *)
+              let work = strip_items remaining in
+              let next = strip_items (carry @ deferred_of reports) in
+              fun () ->
+                (* everything below reads immutable snapshots and lists *)
+                let scratch = Collector.restore (stripped options) master_snap in
+                merge scratch reports;
+                write sess ctl scratch
+                  {
+                    f with
+                    Checkpoint.v3_work = sorted_prefixes work;
+                    v3_next = sorted_prefixes next;
+                  });
         sent = lazy (S.to_prefixes ~wstates ~work:[] ~next:[]);
         expand = (fun i e -> S.expand e wstates.(i));
         progress =

@@ -1,7 +1,7 @@
 (* Machinery shared by the strategies ([Strategies]), the driver's serial
    loop and the round core ([Rounds]) that runs rounds on domains and TCP
    workers: execution accounting, crash containment, prefix
-   materialization, checkpoint write control and — most importantly — the
+   materialization, the checkpoint cadence and — most importantly — the
    per-work-item ICB exploration.
 
    Every executor runs the very same code path per work item, so they
@@ -185,28 +185,8 @@ let icb_strategy_name ~max_bound =
   | None -> "icb"
   | Some b -> Printf.sprintf "icb:%d" b
 
-(* --- checkpoint write control ------------------------------------------- *)
+(* --- checkpoint cadence ---------------------------------------------------- *)
 
+(* Executions between periodic checkpoints; {!Rounds} controls the
+   writes. *)
 let default_checkpoint_every = 500
-
-type ckpt_ctl = {
-  ck_path : string;
-  ck_every : int;               (* executions between periodic saves *)
-  ck_meta : (string * string) list;
-  mutable ck_last : int;        (* executions at the last save *)
-  ck_events : Icb_obs.Emit.t;   (* telemetry for Checkpoint_written *)
-}
-
-let save_checkpoint col ctl ~strategy ~frontier =
-  Checkpoint.save ~path:ctl.ck_path
-    {
-      Checkpoint.strategy;
-      meta = ctl.ck_meta;
-      collector = Collector.snapshot col;
-      frontier;
-    };
-  ctl.ck_last <- Collector.executions col;
-  if Icb_obs.Emit.enabled ctl.ck_events then
-    Icb_obs.Emit.emit ctl.ck_events
-      (Icb_obs.Event.Checkpoint_written
-         { path = ctl.ck_path; executions = Collector.executions col })

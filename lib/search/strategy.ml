@@ -185,7 +185,9 @@ module type S = sig
     Checkpoint.v3
   (** Serialize the frontier: [work] and [next] are the stripped pending
       and deferred items (the driver includes the in-flight item when a
-      limit interrupted an expansion mid-way).  [wstates] lets a strategy
+      limit interrupted an expansion mid-way), placed in [v3_work] and
+      [v3_next] as given — a mid-round checkpoint serializes with empty
+      lists while the workers are paused and fills the items in later.  [wstates] lets a strategy
       persist round-local progress that lives per worker (iterative
       DFS's truncation count, PCT's depth estimate); per-worker caches
       are deliberately not persisted. *)

@@ -527,6 +527,48 @@ let proto_tests =
             (Collector.snapshot_states snap'));
   ]
 
+(* --- a checkpoint write that fails --------------------------------------- *)
+
+(* A failing mid-round write must raise out of [Coord.run] and end the
+   run for its workers too: they are told [Done] and return, and the
+   ticker stops.  Under a watchdog, so a round left [Serving] fails the
+   test instead of hanging it. *)
+let failure_tests =
+  [
+    Alcotest.test_case "a failing checkpoint write raises and ends the run"
+      `Quick (fun () ->
+        let p =
+          Icb_models.Transaction.program Icb_models.Transaction.Correct
+        in
+        let missing =
+          Filename.concat
+            (Filename.concat (Filename.get_temp_dir_name ())
+               (Printf.sprintf "icb-missing-%d" (Unix.getpid ())))
+            "t.ckpt"
+        in
+        let raised =
+          Test_support.Watchdog.within ~seconds:60. (fun () ->
+              let coord = Coord.create ~batch_size:4 ~lease_timeout:5.0 () in
+              let ws =
+                List.init 2 (fun _ -> spawn_worker ~port:(Coord.port coord) p)
+              in
+              let raised =
+                match
+                  Coord.run coord (Icb.engine p) ~checkpoint_out:missing
+                    ~checkpoint_every:50
+                    (Explore.Icb { max_bound = Some 3; cache = false })
+                with
+                | _ -> false
+                | exception Sys_error _ -> true
+              in
+              (* the workers learn the run is over and return *)
+              List.iter Thread.join ws;
+              Coord.shutdown coord;
+              raised)
+        in
+        check Alcotest.bool "Sys_error raised" true raised);
+  ]
+
 let () =
   Alcotest.run "dist"
     [
@@ -537,4 +579,5 @@ let () =
       ("limits", limit_tests);
       ("http", http_tests);
       ("proto", proto_tests);
+      ("failure", failure_tests);
     ]

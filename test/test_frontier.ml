@@ -356,10 +356,206 @@ let v3_fixture_tests =
     ;
   ]
 
+(* --- periodic mid-round checkpoints on the domain transport --------------- *)
+
+(* A parallel run checkpointing every [every] executions, with a copy of
+   each file taken as its [Checkpoint_written] event arrives (the event is
+   delivered after the rename and before the next write can start).
+   Returns the run's result and the copies with the execution counts
+   their events carried, in event order. *)
+let periodic_run ?(options = Collector.default_options) prog ~bound ~every =
+  let path = tmp_ckpt () in
+  let tel = Icb_obs.Telemetry.create () in
+  let copies = ref [] in
+  Icb_obs.Telemetry.add_consumer tel (fun env ->
+      match env.Icb_obs.Event.ev with
+      | Icb_obs.Event.Checkpoint_written { path = p; executions } ->
+        let copy = tmp_ckpt () in
+        let data = In_channel.with_open_bin p In_channel.input_all in
+        Out_channel.with_open_bin copy (fun oc ->
+            Out_channel.output_string oc data);
+        copies := (executions, copy) :: !copies
+      | _ -> ());
+  let r =
+    Icb_search.Parallel.run
+      (fun _ -> Icb.engine prog)
+      ~options ~checkpoint_out:path ~checkpoint_every:every ~telemetry:tel
+      ~domains:2 ~max_bound:(Some bound) ~cache:false ()
+  in
+  (r, path, List.rev !copies)
+
+let remove_all path copies =
+  Sys.remove path;
+  List.iter (fun (_, c) -> Sys.remove c) copies
+
+(* Every file a periodic run wrote — mid-round ones from the pause
+   quorum and the final one — resumed serially and on 2 domains lands on
+   the uninterrupted run: the cumulative executions (before the write
+   plus after the resume), distinct states, bugs and completion. *)
+let periodic_case name prog ~bound ~every =
+  Alcotest.test_case
+    (Printf.sprintf "every mid-round checkpoint resumes exactly (%s)" name)
+    `Quick (fun () ->
+      let full, path, copies = periodic_run prog ~bound ~every in
+      let mids =
+        List.filter
+          (fun (e, _) -> e < full.Sresult.executions)
+          copies
+      in
+      check Alcotest.bool "several mid-round checkpoints were written" true
+        (List.length mids >= 3);
+      List.iter
+        (fun (at, copy) ->
+          List.iter
+            (fun domains ->
+              let msg s =
+                Printf.sprintf "%s: file at %d executions, %d domain(s): %s"
+                  name at domains s
+              in
+              let ck = Checkpoint.load copy in
+              check Alcotest.int (msg "event count = file count") at
+                (Collector.snapshot_executions ck.Checkpoint.collector);
+              let r = Icb.resume ~domains prog ck in
+              check Alcotest.int (msg "executions") full.Sresult.executions
+                r.Sresult.executions;
+              check Alcotest.int (msg "states") full.Sresult.distinct_states
+                r.Sresult.distinct_states;
+              check (Alcotest.list Alcotest.string) (msg "bugs")
+                (bug_keys full) (bug_keys r);
+              check Alcotest.bool (msg "complete") full.Sresult.complete
+                r.Sresult.complete)
+            [ 1; 2 ])
+        copies;
+      remove_all path copies)
+
+(* A pause requested after every item that finds no write in flight, each
+   write running after the quorum has released the workers: the writes
+   must still land one at a time in capture order, so the event counts
+   strictly increase and the file left on disk is the run's final
+   frontier, never a mid-round write that finished late. *)
+let ordering_case name ?options ~expect () =
+  Alcotest.test_case
+    (Printf.sprintf "checkpoint_every:1 writes land in order (%s)" name)
+    `Quick (fun () ->
+      let prog =
+        Icb_models.Transaction.program Icb_models.Transaction.Correct
+      in
+      let r, path, copies = periodic_run ?options prog ~bound:3 ~every:1 in
+      let counts = List.map fst copies in
+      check Alcotest.bool "several mid-round writes" true
+        (List.length counts >= 5);
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> a < b && increasing rest
+        | _ -> true
+      in
+      check Alcotest.bool "event counts strictly increase" true
+        (increasing counts);
+      check Alcotest.int "the last event is the final save"
+        r.Sresult.executions (List.nth counts (List.length counts - 1));
+      let ck = Checkpoint.load path in
+      let f = Checkpoint.to_v3 ck in
+      check Alcotest.int "the file holds the final executions"
+        r.Sresult.executions
+        (Collector.snapshot_executions ck.Checkpoint.collector);
+      check Alcotest.bool "the file holds the final completion"
+        r.Sresult.complete
+        (Collector.snapshot_complete ck.Checkpoint.collector);
+      expect r f;
+      (* and it resumes to the uninterrupted run, nothing lost or
+         repeated *)
+      let full =
+        Icb.run
+          ~strategy:(Explore.Icb { max_bound = Some 3; cache = false })
+          prog
+      in
+      check Alcotest.int "the file resumes to the full run"
+        full.Sresult.executions
+        (Icb.resume prog ck).Sresult.executions;
+      remove_all path copies)
+
+let periodic_tests =
+  [
+    periodic_case "transaction-manager"
+      (Icb_models.Transaction.program Icb_models.Transaction.Correct)
+      ~bound:3 ~every:250;
+    periodic_case "work-stealing queue"
+      (Icb_models.Workstealing.program
+         Icb_models.Workstealing.Bug_unlocked_steal)
+      ~bound:2 ~every:50;
+    ordering_case "bounded" ~expect:(fun r f ->
+        (* the search ran to its bound: no pending work, the next
+           bound's items deferred *)
+        check Alcotest.bool "bounded, not stopped" true
+          (r.Sresult.stop_reason = None);
+        check Alcotest.int "no pending work" 0
+          (List.length f.Checkpoint.v3_work);
+        check Alcotest.bool "the next bound's items" true
+          (f.Checkpoint.v3_next <> []))
+      ();
+    ordering_case "stop" ~options:(opts (Some 1500)) ~expect:(fun r f ->
+        check Alcotest.bool "stopped by the limit" true
+          (r.Sresult.stop_reason = Some Sresult.Execution_limit);
+        check Alcotest.bool "the stop's pending work" true
+          (f.Checkpoint.v3_work <> [] || f.Checkpoint.v3_next <> []))
+      ();
+  ]
+
+(* --- marshalling without sharing ----------------------------------------- *)
+
+(* Checkpoints are marshalled with [No_sharing], which is only sound on
+   tree-shaped data.  A bug-carrying checkpoint written at a stop must
+   marshal to the same length either way and read back equal. *)
+let no_sharing_tests =
+  [
+    Alcotest.test_case "a bug-carrying checkpoint is tree-shaped" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, prog) ->
+            let strategy = Explore.Icb { max_bound = Some 2; cache = false } in
+            (* stop just after the last bug the full search finds *)
+            let full = Explore.run (Icb.engine prog) strategy in
+            let cap =
+              1
+              + List.fold_left
+                  (fun n (b : Sresult.bug) -> max n b.Sresult.execution)
+                  0 full.Sresult.bugs
+            in
+            let path = tmp_ckpt () in
+            let r =
+              Explore.run (Icb.engine prog) ~options:(opts (Some cap))
+                ~checkpoint_out:path ~checkpoint_every:max_int strategy
+            in
+            check Alcotest.bool (name ^ ": stopped by the limit") true
+              (r.Sresult.stop_reason = Some Sresult.Execution_limit);
+            let ck = Checkpoint.load path in
+            check Alcotest.bool (name ^ ": carries bugs") true
+              (Collector.snapshot_bugs ck.Checkpoint.collector <> []);
+            let shared = Marshal.to_string ck [] in
+            let plain = Marshal.to_string ck [ Marshal.No_sharing ] in
+            check Alcotest.int (name ^ ": same payload length")
+              (String.length shared) (String.length plain);
+            check Alcotest.bool (name ^ ": loads equal") true
+              ((Marshal.from_string plain 0 : Checkpoint.t) = ck);
+            Checkpoint.save ~path ck;
+            check Alcotest.bool (name ^ ": save/load round trip") true
+              (Checkpoint.load path = ck);
+            Sys.remove path)
+          [
+            ( "peterson",
+              Icb_models.Peterson.program
+                Icb_models.Peterson.Bug_check_before_set );
+            ( "work-stealing queue",
+              Icb_models.Workstealing.program
+                Icb_models.Workstealing.Bug_unlocked_steal );
+          ]);
+  ]
+
 let () =
   Alcotest.run "frontier"
     [
       ("kill-resume", kill_resume_tests);
       ("v2-compat", v2_compat_tests);
       ("v3-fixture", v3_fixture_tests);
+      ("periodic", periodic_tests);
+      ("no-sharing", no_sharing_tests);
     ]

@@ -266,6 +266,46 @@ let saturation_tests =
           (Collector.total_steps m2));
   ]
 
+(* --- a checkpoint write that fails --------------------------------------- *)
+
+(* A path whose directory does not exist, so every write raises
+   [Sys_error]. *)
+let unwritable () =
+  Filename.concat
+    (Filename.concat (Filename.get_temp_dir_name ())
+       (Printf.sprintf "icb-missing-%d-%d" (Unix.getpid ()) (Random.bits ())))
+    "t.ckpt"
+
+(* The write must surface as an exception from [Parallel.run], whether a
+   mid-round write (the quorum releases the workers before writing) or
+   only the final save fails; run under a watchdog, so a parked worker
+   that is never released fails the test instead of hanging it. *)
+let failing_write_case name ~every =
+  Alcotest.test_case
+    (Printf.sprintf "a failing checkpoint write raises (%s)" name)
+    `Quick (fun () ->
+      let prog =
+        Icb_models.Transaction.program Icb_models.Transaction.Correct
+      in
+      let raised =
+        Test_support.Watchdog.within ~seconds:60. (fun () ->
+            match
+              Parallel.run
+                (fun _ -> Icb.engine prog)
+                ~checkpoint_out:(unwritable ()) ~checkpoint_every:every
+                ~domains:2 ~max_bound:(Some 3) ~cache:false ()
+            with
+            | _ -> false
+            | exception Sys_error _ -> true)
+      in
+      check Alcotest.bool "Sys_error raised" true raised)
+
+let failure_tests =
+  [
+    failing_write_case "mid-round" ~every:100;
+    failing_write_case "final save" ~every:max_int;
+  ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -274,4 +314,5 @@ let () =
       ("stress", stress_tests);
       ("chess", chess_tests);
       ("saturation", saturation_tests);
+      ("failure", failure_tests);
     ]
